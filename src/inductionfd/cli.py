@@ -178,21 +178,26 @@ def write_field_dump(field: MagneticField, div: np.ndarray, path, meta: dict) ->
 
     The CSV holds a header plus one row per node (x-major, y-inner).  The
     run metadata goes to a sidecar file ``<path>.meta`` as a single
-    ``#``-prefixed line, keeping the CSV itself plain.
+    ``#``-prefixed line, keeping the CSV itself plain.  Values use six
+    significant digits; each x row is formatted by one batched ``%``
+    operation (``%.6g`` formats a float exactly as ``format(v, ".6g")``).
     """
     grid = field.grid
-    x, y = grid.x, grid.y
-    mag = field.magnitude()
+    npy = grid.npy
+    xs = [_fmt(v) for v in grid.x]
     meta_line = "# " + " ".join(f"{k}={v}" for k, v in meta.items())
     Path(f"{path}.meta").write_text(meta_line + "\n")
+    row_format = "%s,%s,%.6g,%.6g,%.6g,%.6g\n" * npy
+    # per x row: columns x, y, B1, B2, |B|, div of every node, flattened y-inner
+    cells = np.empty((npy, 6), dtype=object)
+    cells[:, 1] = [_fmt(v) for v in grid.y]
+    values = np.stack([field.data[0], field.data[1], field.magnitude(), div], axis=-1)
     with open(path, "w") as fh:
         fh.write("x,y,B1,B2,Bmag,divP\n")
         for i in range(grid.npx):
-            for j in range(grid.npy):
-                fh.write(
-                    f"{_fmt(x[i])},{_fmt(y[j])},{_fmt(field.data[0, i, j])},"
-                    f"{_fmt(field.data[1, i, j])},{_fmt(mag[i, j])},{_fmt(div[i, j])}\n"
-                )
+            cells[:, 0] = xs[i]
+            cells[:, 2:] = values[i]
+            fh.write(row_format % tuple(cells.ravel()))
 
 
 def _run_study(config: RunConfig, out: Path) -> int:

@@ -16,7 +16,7 @@ so the operator can only remove energy in the P inner product.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import comb
 
 import numpy as np
@@ -90,14 +90,15 @@ def build_dissipation(order: int, scaling: str, alpha: float, n: int,
             f"order-{order} dissipation of width {p} needs at least "
             f"{max(_MIN_POINTS[order], 2 * rows)} points, got {n}"
         )
-    weights = np.ones(n)
-    weights[: len(closure)] = closure
-    weights[n - len(closure) :] = closure[::-1]
-
-    s = difference_matrix(n, p)
-    a = -(alpha * _STENCIL_COEF[p] / weights)[:, None] * (s.T @ s)
-
+    # The corner of S^T S (S the (n - p) x n difference matrix) only sees
+    # the first ``rows`` rows of S, so a (rows, cols) difference block
+    # gives it exactly; S^T S is persymmetric and so are the weights,
+    # hence the bottom block is the top one reversed.
     cols = rows + p
+    weights = np.ones(rows)
+    weights[: len(closure)] = closure
+    s = difference_matrix(cols, p)
+    top = -(alpha * _STENCIL_COEF[p] / weights)[:, None] * (s.T @ s)[:rows]
     stencil = difference_stencil(p)
     interior = -alpha * _STENCIL_COEF[p] * np.convolve(stencil, stencil[::-1])
     return DissipationOperator1D(
@@ -106,10 +107,70 @@ def build_dissipation(order: int, scaling: str, alpha: float, n: int,
         alpha=float(alpha),
         width=p,
         n=n,
-        top=_frozen(a[:rows, :cols]),
-        bot=_frozen(a[n - rows :, n - cols :]),
+        top=_frozen(top),
+        bot=_frozen(top[::-1, ::-1]),
         interior=_frozen(interior),
         h_exponent=0 if scaling == "accurate" else -1,
+    )
+
+
+@dataclass(frozen=True)
+class FoldedDissipation1D:
+    """Sum of dissipation terms along one axis, grid spacing included.
+
+    Shares the apply protocol of the other banded operators.  Each term's
+    h**h_exponent factor is already in ``top``, ``bot`` and ``interior``,
+    so ``h_exponent`` is 0.  A sum of P-negative-semidefinite terms is
+    P-negative-semidefinite, so folding keeps the energy estimate.
+    """
+
+    n: int
+    top: np.ndarray
+    bot: np.ndarray
+    interior: np.ndarray
+    h_exponent: int = field(default=0, init=False, repr=False, compare=False)
+
+
+def _corner(top: np.ndarray, interior: np.ndarray, rows: int, cols: int) -> np.ndarray:
+    """Top-left (rows, cols) block of an operator given by its closure and stencil."""
+    block = np.zeros((rows, cols))
+    r, c = top.shape
+    block[:r, :c] = top
+    width = (len(interior) - 1) // 2
+    for i in range(r, rows):
+        block[i, i - width : i + width + 1] = interior
+    return block
+
+
+def fold_dissipation(ops, h: float) -> FoldedDissipation1D | None:
+    """Sum dissipation operators on one axis of spacing ``h`` into one.
+
+    Returns None for an empty sequence.  The closure blocks are padded to
+    the largest closure (a term's interior rows fill its share of it) and
+    the stencils to the widest one before they are added.
+    """
+    ops = tuple(ops)
+    if not ops:
+        return None
+    if len({op.n for op in ops}) != 1:
+        raise ValueError("dissipation terms to fold must share their point count")
+    rows = max(op.top.shape[0] for op in ops)
+    width = max((len(op.interior) - 1) // 2 for op in ops)
+    cols = rows + width
+    top = np.zeros((rows, cols))
+    bot = np.zeros((rows, cols))
+    interior = np.zeros(2 * width + 1)
+    for op in ops:
+        scale = h**op.h_exponent
+        w = (len(op.interior) - 1) // 2
+        top += scale * _corner(op.top, op.interior, rows, cols)
+        bot += scale * _corner(op.bot[::-1, ::-1], op.interior[::-1], rows, cols)
+        interior[width - w : width + w + 1] += scale * op.interior
+    return FoldedDissipation1D(
+        n=ops[0].n,
+        top=_frozen(top),
+        bot=_frozen(bot[::-1, ::-1]),
+        interior=_frozen(interior),
     )
 
 

@@ -17,7 +17,7 @@ upwind-scaled dissipation to them, lowering the formal order by one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -29,7 +29,12 @@ from .diagnostics import (
     p_energy,
     rel_percent_error,
 )
-from .dissipation import DissipationOperator1D, build_dissipation
+from .dissipation import (
+    DissipationOperator1D,
+    FoldedDissipation1D,
+    build_dissipation,
+    fold_dissipation,
+)
 from .grid import Grid2D
 from .induction import (
     BoundaryData,
@@ -269,7 +274,12 @@ def get_experiment(ident: int) -> ExperimentSpec:
 
 @dataclass(frozen=True)
 class RunSetup:
-    """Everything needed to advance one (experiment, scheme, grid) run."""
+    """Everything needed to advance one (experiment, scheme, grid) run.
+
+    ``diss_x``/``diss_y`` list the scheme's dissipation terms one by one;
+    ``fold_x``/``fold_y`` are their sums with the grid spacing folded in
+    (None without dissipation), which is what :meth:`rhs` applies.
+    """
 
     spec: ExperimentSpec
     scheme: SchemeConfig
@@ -282,11 +292,17 @@ class RunSetup:
     diss_x: tuple[DissipationOperator1D, ...]
     diss_y: tuple[DissipationOperator1D, ...]
     v0: MagneticField
+    fold_x: FoldedDissipation1D | None = field(init=False, repr=False, compare=False)
+    fold_y: FoldedDissipation1D | None = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "fold_x", fold_dissipation(self.diss_x, self.grid.dx))
+        object.__setattr__(self, "fold_y", fold_dissipation(self.diss_y, self.grid.dy))
 
     def rhs(self, t: float, v: np.ndarray) -> np.ndarray:
         return compute_rhs(
             v, t, self.grid, self.coeffs, self.bdata, self.sat,
-            self.op_x, self.op_y, self.diss_x, self.diss_y,
+            self.op_x, self.op_y, self.fold_x, self.fold_y,
         )
 
 
@@ -343,7 +359,12 @@ def run_single(
     hook: Callable | None = None,
     hook_every: int = 1,
 ) -> tuple[MagneticField, list]:
-    """Integrate one assembled run to ``t_final`` (default: the spec's)."""
+    """Integrate one assembled run to ``t_final`` (default: the spec's).
+
+    A run whose final error or P-energy is not finite has blown up even if
+    every state stayed finite, so it raises InstabilityError as a
+    non-finite state does.
+    """
     config = IntegratorConfig(
         t_final=setup.spec.t_final if t_final is None else t_final,
         method=setup.scheme.integrator,
@@ -353,6 +374,16 @@ def run_single(
         setup.v0.data, config, setup.rhs,
         grid=setup.grid, coeffs=setup.coeffs, hook=hook, hook_every=hook_every,
     )
+    with np.errstate(over="ignore"):
+        err = rel_percent_error(v, setup.spec.exact, config.t_final, setup.grid)
+        energy = p_energy(v, setup.grid, setup.op_x, setup.op_y)
+    if not (np.isfinite(err) and np.isfinite(energy)):
+        raise InstabilityError(
+            f"run ended with error {err:.6g}% and P-energy {energy:.6g} at "
+            f"t={config.t_final:.6g} (max |B| {np.abs(v).max():.6g})",
+            time=config.t_final,
+            last_state=v,
+        )
     return MagneticField(setup.grid, v), records
 
 

@@ -17,7 +17,7 @@ makes the semi-discrete scheme energy-stable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -26,6 +26,14 @@ from .grid import Grid2D
 from .sbp import SbpOperator1D, apply_dx, apply_dy
 
 SIDES = ("xmin", "xmax", "ymin", "ymax")
+
+
+class NonFiniteStateError(ValueError):
+    """A state handed to :func:`compute_rhs` holds inf or nan entries.
+
+    The time integrator turns it into an ``InstabilityError``: a stage
+    that overflows is a blown-up run, not a usage error.
+    """
 
 
 @dataclass(frozen=True)
@@ -215,13 +223,18 @@ class BoundaryData:
     ``exact`` is a callable (X, Y, t) -> (B1, B2) sampled on the requested
     side; in ``table`` mode ``table`` maps each side to (times, g1, g2)
     arrays of shape (nt,), (nt, m), (nt, m) that are interpolated linearly
-    in time.
+    in time.  The side coordinates are computed once, concatenated in
+    ``SIDES`` order (npy nodes per x side, npx per y side), so the
+    exact callable can sample all four sides in one call.
     """
 
     grid: Grid2D
     mode: str
     exact: Callable | None = None
     table: dict | None = None
+    side_x: np.ndarray = field(init=False, repr=False, compare=False)
+    side_y: np.ndarray = field(init=False, repr=False, compare=False)
+    bounds: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.mode not in ("zero", "exact", "table"):
@@ -230,6 +243,20 @@ class BoundaryData:
             raise ValueError("exact boundary mode needs an exact-solution callable")
         if self.mode == "table" and self.table is None:
             raise ValueError("table boundary mode needs per-side time tables")
+        grid = self.grid
+        x, y = grid.x, grid.y
+        side_x = np.concatenate([np.full(grid.npy, grid.xmin), np.full(grid.npy, grid.xmax),
+                                 x, x])
+        side_y = np.concatenate([y, y, np.full(grid.npx, grid.ymin),
+                                 np.full(grid.npx, grid.ymax)])
+        ends = np.cumsum([0, grid.npy, grid.npy, grid.npx, grid.npx])
+        for a in (side_x, side_y):
+            a.setflags(write=False)
+        object.__setattr__(self, "side_x", side_x)
+        object.__setattr__(self, "side_y", side_y)
+        object.__setattr__(self, "bounds", {
+            side: slice(int(ends[k]), int(ends[k + 1])) for k, side in enumerate(SIDES)
+        })
 
     @classmethod
     def zero(cls, grid: Grid2D) -> "BoundaryData":
@@ -243,17 +270,22 @@ class BoundaryData:
     def from_table(cls, grid: Grid2D, table: dict) -> "BoundaryData":
         return cls(grid, "table", table=table)
 
+    def all_sides(self, t: float) -> np.ndarray | None:
+        """Data (g1, g2) on all four sides at time t, shape (2, 2*npy + 2*npx).
 
-def _side_coords(grid: Grid2D, side: str) -> tuple[np.ndarray, np.ndarray]:
-    if side == "xmin":
-        return np.full(grid.npy, grid.xmin), grid.y
-    if side == "xmax":
-        return np.full(grid.npy, grid.xmax), grid.y
-    if side == "ymin":
-        return grid.x, np.full(grid.npx, grid.ymin)
-    if side == "ymax":
-        return grid.x, np.full(grid.npx, grid.ymax)
-    raise ValueError(f"unknown side {side!r}, expected one of {SIDES}")
+        The columns follow ``side_x``/``side_y``; ``bounds`` maps each side
+        to its slice.  Zero mode returns None and evaluates nothing.
+        """
+        if self.mode == "zero":
+            return None
+        if self.mode == "exact":
+            g1, g2 = self.exact(self.side_x, self.side_y, t)
+            shape = self.side_x.shape
+            return np.stack([np.broadcast_to(np.asarray(g1, dtype=float), shape),
+                             np.broadcast_to(np.asarray(g2, dtype=float), shape)])
+        return np.concatenate(
+            [np.stack(boundary_trace(self, side, t)) for side in SIDES], axis=1
+        )
 
 
 def boundary_trace(bdata: BoundaryData, side: str, t: float) -> tuple[np.ndarray, np.ndarray]:
@@ -262,7 +294,11 @@ def boundary_trace(bdata: BoundaryData, side: str, t: float) -> tuple[np.ndarray
     Returns arrays of length npy for the x sides and npx for the y sides,
     ordered by the node index along the side.
     """
-    x, y = _side_coords(bdata.grid, side)
+    try:
+        part = bdata.bounds[side]
+    except KeyError:
+        raise ValueError(f"unknown side {side!r}, expected one of {SIDES}") from None
+    x, y = bdata.side_x[part], bdata.side_y[part]
     if bdata.mode == "zero":
         return np.zeros(x.size), np.zeros(x.size)
     if bdata.mode == "exact":
@@ -293,6 +329,10 @@ def _dissipation_ops(diss) -> tuple:
     return (diss,)
 
 
+#: boundary slice of a stacked (2, npx, npy) array for each side, in SIDES order
+_EDGES = (np.s_[:, 0, :], np.s_[:, -1, :], np.s_[:, :, 0], np.s_[:, :, -1])
+
+
 def compute_rhs(
     v: np.ndarray,
     t: float,
@@ -311,44 +351,37 @@ def compute_rhs(
     optional dissipation along each axis (``diss_x``/``diss_y`` each take
     one operator or a sequence whose contributions add), and the per-side
     SAT penalties (sigma / p_boundary) * (V - g) on the boundary slices of
-    both components.  Corner nodes accumulate both adjacent sides.
+    both components.  Corner nodes accumulate both adjacent sides.  Each
+    operator is applied once to both components together, and the
+    boundary data of all four sides is evaluated in one call.
     """
     if v.shape != (2, grid.npx, grid.npy):
         raise ValueError(
             f"state must have shape (2, {grid.npx}, {grid.npy}), got {v.shape}"
         )
     if not np.isfinite(v).all():
-        raise ValueError("state contains non-finite values")
+        raise NonFiniteStateError("state contains non-finite values")
     v1, v2 = v[0], v[1]
 
-    t1 = -coeffs.lam_x * apply_dx(op_x, v1, grid)
-    t1 -= coeffs.lam_y * apply_dy(op_y, v1, grid)
-    t1 -= coeffs.du2dy * v1
-    t1 += coeffs.du1dy * v2
-
-    t2 = -coeffs.lam_x * apply_dx(op_x, v2, grid)
-    t2 -= coeffs.lam_y * apply_dy(op_y, v2, grid)
-    t2 += coeffs.du2dx * v1
-    t2 -= coeffs.du1dx * v2
+    rhs = apply_dx(op_x, v, grid)
+    rhs *= coeffs.lam_x
+    work = apply_dy(op_y, v, grid)
+    work *= coeffs.lam_y
+    rhs += work
+    np.negative(rhs, out=rhs)
+    rhs[0] -= coeffs.du2dy * v1
+    rhs[0] += coeffs.du1dy * v2
+    rhs[1] += coeffs.du2dx * v1
+    rhs[1] -= coeffs.du1dx * v2
 
     for op in _dissipation_ops(diss_x):
-        t1 += apply_dx(op, v1, grid)
-        t2 += apply_dx(op, v2, grid)
+        rhs += apply_dx(op, v, grid, out=work)
     for op in _dissipation_ops(diss_y):
-        t1 += apply_dy(op, v1, grid)
-        t2 += apply_dy(op, v2, grid)
+        rhs += apply_dy(op, v, grid, out=work)
 
-    g1, g2 = boundary_trace(bdata, "xmin", t)
-    t1[0, :] += sat.coef_xmin * (v1[0, :] - g1)
-    t2[0, :] += sat.coef_xmin * (v2[0, :] - g2)
-    g1, g2 = boundary_trace(bdata, "xmax", t)
-    t1[-1, :] += sat.coef_xmax * (v1[-1, :] - g1)
-    t2[-1, :] += sat.coef_xmax * (v2[-1, :] - g2)
-    g1, g2 = boundary_trace(bdata, "ymin", t)
-    t1[:, 0] += sat.coef_ymin * (v1[:, 0] - g1)
-    t2[:, 0] += sat.coef_ymin * (v2[:, 0] - g2)
-    g1, g2 = boundary_trace(bdata, "ymax", t)
-    t1[:, -1] += sat.coef_ymax * (v1[:, -1] - g1)
-    t2[:, -1] += sat.coef_ymax * (v2[:, -1] - g2)
-
-    return np.stack([t1, t2])
+    g = bdata.all_sides(t)
+    coefs = (sat.coef_xmin, sat.coef_xmax, sat.coef_ymin, sat.coef_ymax)
+    for side, edge, coef in zip(SIDES, _EDGES, coefs):
+        jump = v[edge] if g is None else v[edge] - g[:, bdata.bounds[side]]
+        rhs[edge] += coef * jump
+    return rhs

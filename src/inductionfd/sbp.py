@@ -7,8 +7,8 @@ derivative is D = P^{-1} Q / h and satisfies Q + Q^T = diag(-1, 0, ..., 0, 1),
 which is what every energy estimate in this package rests on.
 
 Application is matrix-free: interior rows are evaluated by shifted slices
-and the closure rows by small dense blocks, along either axis of a 2D
-field.
+and the closure rows by small dense blocks, along either of the last two
+axes of a field of shape (..., npx, npy).
 """
 
 from __future__ import annotations
@@ -138,42 +138,76 @@ def build_sbp(order: int, n: int) -> SbpOperator1D:
     )
 
 
-def _apply_banded(op, f: np.ndarray, scale: float) -> np.ndarray:
-    """Apply a banded operator with closure blocks along axis 0 of ``f``."""
-    n = f.shape[0]
+def _apply_banded(op, f: np.ndarray, axis: int, scale: float,
+                  out: np.ndarray | None = None) -> np.ndarray:
+    """Apply ``scale`` times a banded operator with closure blocks along
+    ``axis`` (-2 or -1) of ``f``, writing into ``out`` when given.
+
+    In C order a shift along either of the last two axes is a shift of
+    the flat array by that axis's stride, so the interior stencil runs on
+    contiguous flat slices for both axes and any stacked leading axes.
+    The flat range also covers nodes whose stencil wraps into the next
+    line; those are exactly the closure nodes, which the closure blocks
+    overwrite afterwards (every stencil half-width is at most the closure
+    size).  ``scale`` multiplies the coefficients, not the result.
+    """
+    f = np.ascontiguousarray(f, dtype=float)
+    if out is None:
+        out = np.empty(f.shape)
+    elif out.shape != f.shape or not out.flags.c_contiguous:
+        raise ValueError(f"out must be a C-contiguous array of shape {f.shape}")
+    n = f.shape[axis]
     rows, cols = op.top.shape
-    out = np.empty(f.shape)
-    lo, hi = rows, n - rows
-    if hi > lo:
-        width = (len(op.interior) - 1) // 2
-        acc = np.zeros((hi - lo,) + f.shape[1:])
-        for k, coef in enumerate(op.interior):
-            if coef != 0.0:
-                off = k - width
-                acc += coef * f[lo + off : hi + off]
-        out[lo:hi] = acc
-    out[:rows] = op.top @ f[:cols]
-    out[n - rows :] = op.bot @ f[n - cols :]
-    out *= scale
+    stride = f.shape[-1] if axis == -2 else 1
+    flat, acc = f.reshape(-1), out.reshape(-1)
+    lo, hi = rows * stride, f.size - rows * stride
+    width = (len(op.interior) - 1) // 2
+    terms = [(coef * scale, (k - width) * stride)
+             for k, coef in enumerate(op.interior) if coef != 0.0]
+    if not terms:
+        acc[lo:hi] = 0.0
+    for k, (coef, shift) in enumerate(terms):
+        shifted = flat[lo + shift : hi + shift]
+        if k == 0:
+            np.multiply(shifted, coef, out=acc[lo:hi])
+        else:
+            acc[lo:hi] += coef * shifted
+    top = op.top * scale
+    bot = op.bot * scale
+    if axis == -2:
+        np.matmul(top, f[..., :cols, :], out=out[..., :rows, :])
+        np.matmul(bot, f[..., n - cols :, :], out=out[..., n - rows :, :])
+    else:
+        np.matmul(f[..., :cols], top.T, out=out[..., :rows])
+        np.matmul(f[..., n - cols :], bot.T, out=out[..., n - rows :])
     return out
 
 
-def apply_dx(op, f: np.ndarray, grid: Grid2D) -> np.ndarray:
-    """Apply a 1D operator along the x axis of a scalar field (npx, npy)."""
-    if f.shape != grid.shape:
+def _check_field(op, f: np.ndarray, grid: Grid2D, axis_name: str, n: int) -> None:
+    if f.ndim < 2 or f.shape[-2:] != grid.shape:
         raise ValueError(f"field shape {f.shape} does not match grid {grid.shape}")
-    if op.n != grid.npx:
-        raise ValueError(f"operator built for {op.n} points, grid has npx={grid.npx}")
-    return _apply_banded(op, f, grid.dx**op.h_exponent)
+    if op.n != n:
+        raise ValueError(f"operator built for {op.n} points, grid has {axis_name}={n}")
 
 
-def apply_dy(op, f: np.ndarray, grid: Grid2D) -> np.ndarray:
-    """Apply a 1D operator along the y axis of a scalar field (npx, npy)."""
-    if f.shape != grid.shape:
-        raise ValueError(f"field shape {f.shape} does not match grid {grid.shape}")
-    if op.n != grid.npy:
-        raise ValueError(f"operator built for {op.n} points, grid has npy={grid.npy}")
-    return _apply_banded(op, f.T, grid.dy**op.h_exponent).T
+def apply_dx(op, f: np.ndarray, grid: Grid2D, out: np.ndarray | None = None) -> np.ndarray:
+    """Apply a 1D operator along the x axis of a field (..., npx, npy).
+
+    Leading axes are stacked fields (such as the two components of B),
+    each transformed alike.  The result goes to ``out`` when given.
+    """
+    _check_field(op, f, grid, "npx", grid.npx)
+    return _apply_banded(op, f, -2, grid.dx**op.h_exponent, out)
+
+
+def apply_dy(op, f: np.ndarray, grid: Grid2D, out: np.ndarray | None = None) -> np.ndarray:
+    """Apply a 1D operator along the y axis of a field (..., npx, npy).
+
+    Leading axes are stacked fields (such as the two components of B),
+    each transformed alike.  The result goes to ``out`` when given.
+    """
+    _check_field(op, f, grid, "npy", grid.npy)
+    return _apply_banded(op, f, -1, grid.dy**op.h_exponent, out)
 
 
 @dataclass(frozen=True)

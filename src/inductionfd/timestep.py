@@ -8,7 +8,7 @@ from typing import Callable
 import numpy as np
 
 from .grid import Grid2D
-from .induction import VelocityCoeffs
+from .induction import NonFiniteStateError, VelocityCoeffs
 
 METHODS = ("rk2", "rk4")
 
@@ -100,8 +100,9 @@ def integrate(
     The step size is ``config.fixed_dt`` if given, otherwise the CFL step
     computed from ``grid`` and ``coeffs``.  ``hook(step, t, v)`` is invoked
     at t = 0, every ``hook_every`` accepted steps, and at the final time;
-    its return values are collected.  A non-finite state aborts with an
-    InstabilityError carrying the step index and the last finite state.
+    its return values are collected.  A non-finite state, after a step or
+    inside one of its stages, aborts with an InstabilityError carrying the
+    step index, its start time and the last finite state.
     """
     records: list = []
     v = np.array(v0, dtype=float, copy=True)
@@ -124,7 +125,7 @@ def integrate(
         dt = dt_base if k < n_steps - 1 else config.t_final - t
         try:
             v_new = stepper(v, t, dt, rhs)
-        except InstabilityError as exc:
+        except (InstabilityError, NonFiniteStateError) as exc:
             raise InstabilityError(
                 f"integration went unstable at step {k + 1} (t={t!r})",
                 step=k + 1,

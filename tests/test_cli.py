@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from inductionfd.cli import main, parse_args, write_error_table
+from inductionfd import Grid2D, MagneticField
+from inductionfd.cli import main, parse_args, write_error_table, write_field_dump
 from inductionfd.diagnostics import ErrorRecord
 
 
@@ -158,6 +159,56 @@ class TestSingleRun:
             ])
         assert code == 2
         assert "instability" in capsys.readouterr().err
+
+
+    def test_overflowing_error_exits_2(self, tmp_path, capsys):
+        """A run that stays finite but whose error and P-energy overflow has
+        blown up; it must not exit 0 reporting ``error inf%``."""
+        with np.errstate(over="ignore"):
+            code = main([
+                "--experiment", "3", "--scheme", "sbp4", "--nx", "60", "--ny", "60",
+                "--cfl", "0.8", "--tfinal", "20", "--dissipation", "none",
+                "--out", str(tmp_path),
+            ])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "instability" in captured.err and "inf" in captured.err
+        assert "error inf%" not in captured.out
+        assert not (tmp_path / "error_table.csv").exists()
+
+
+class TestWriteFieldDump:
+    @staticmethod
+    def _per_node(x, y, data, mag, div, meta):
+        """CSV and sidecar as a node-by-node writer formats them."""
+        lines = ["x,y,B1,B2,Bmag,divP\n"]
+        for i in range(len(x)):
+            for j in range(len(y)):
+                lines.append(
+                    f"{x[i]:.6g},{y[j]:.6g},{data[0, i, j]:.6g},{data[1, i, j]:.6g},"
+                    f"{mag[i, j]:.6g},{div[i, j]:.6g}\n"
+                )
+        meta_line = "# " + " ".join(f"{k}={v}" for k, v in meta.items()) + "\n"
+        return "".join(lines), meta_line
+
+    @pytest.mark.parametrize("npx, npy", [(13, 7), (2, 31)])
+    def test_matches_per_node_writer(self, tmp_path, npx, npy):
+        rng = np.random.default_rng(npx + npy)
+        grid = Grid2D(-1.0, 0.3, 1e-7, 2.0, npx, npy)
+        scale = 10.0 ** rng.integers(-320, 150, size=(2, npx, npy))
+        data = rng.standard_normal((2, npx, npy)) * scale
+        data.flat[::5] = -0.0
+        data.flat[1::9] = 5e-324
+        div = rng.standard_normal((npx, npy)) * 1e-9
+        div[0] = -0.0
+        field = MagneticField(grid, data)
+        meta = {"experiment": 3, "scheme": "sbp1", "t": "0.5"}
+        path = tmp_path / "dump.csv"
+        write_field_dump(field, div, path, meta)
+        csv, sidecar = self._per_node(grid.x, grid.y, data, field.magnitude(), div, meta)
+        assert path.read_text() == csv
+        assert (tmp_path / "dump.csv.meta").read_text() == sidecar
+        assert "-0," in csv and "4.94066e-324" in csv
 
 
 class TestStudyRun:

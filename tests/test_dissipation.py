@@ -5,9 +5,11 @@ import pytest
 
 from inductionfd import Grid2D, apply_dx, apply_dy, build_dissipation, build_sbp
 from inductionfd.dissipation import (
+    FoldedDissipation1D,
     dense_dissipation,
     difference_matrix,
     difference_stencil,
+    fold_dissipation,
 )
 
 import dense_oracle
@@ -177,3 +179,54 @@ def test_apply_matches_dense():
         ay = dense_dissipation(op_y, grid.dy)
         np.testing.assert_allclose(apply_dx(op_x, f, grid), ax @ f, atol=1e-13)
         np.testing.assert_allclose(apply_dy(op_y, f, grid), f @ ay.T, atol=1e-13)
+
+
+@pytest.mark.parametrize("order", [2, 4])
+@pytest.mark.parametrize("width", [1, 2, 3])
+def test_closures_match_dense_construction(order, width):
+    """Closure blocks equal the corners of -alpha c_p P^{-1} S^T S built
+    from the full (n - p) x n difference matrix, for every legal n up to 40."""
+    alpha, coef = 0.7, {1: 0.5, 2: 1.0 / 12.0, 3: 1.0 / 30.0}[width]
+    rows = max(width, {2: 1, 4: 4}[order])
+    n_min = max({2: 3, 4: 8}[order], 2 * rows)
+    with pytest.raises(ValueError, match="at least"):
+        build_dissipation(order, "upwind", alpha, n_min - 1, width=width)
+    for n in range(n_min, 41):
+        op = build_dissipation(order, "upwind", alpha, n, width=width)
+        s = difference_matrix(n, width)
+        a = -(alpha * coef / build_sbp(order, n).p)[:, None] * (s.T @ s)
+        assert op.top.shape == op.bot.shape == (rows, rows + width)
+        cols = rows + width
+        np.testing.assert_allclose(op.top, a[:rows, :cols], rtol=0, atol=1e-14)
+        np.testing.assert_allclose(op.bot, a[n - rows:, n - cols:], rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize(
+    "order, terms",
+    [
+        (2, [("upwind", 0.3, 1), ("accurate", 2.0, 3)]),
+        (4, [("upwind", 0.2, 3), ("accurate", 6.0, 2)]),
+        (4, [("upwind", 1.1, 2)]),
+    ],
+)
+def test_fold_matches_sum_of_terms(order, terms):
+    """The folded operator is the sum of its terms with h applied, and
+    stays P-negative-semidefinite."""
+    n, h = 17, 0.07
+    ops = [build_dissipation(order, s, a, n, width=w) for s, a, w in terms]
+    folded = fold_dissipation(ops, h)
+    assert folded.h_exponent == 0
+    with pytest.raises(TypeError):  # h is in the coefficients; no second scale
+        FoldedDissipation1D(folded.n, folded.top, folded.bot, folded.interior, h_exponent=-1)
+    want = sum(dense_dissipation(op, h) for op in ops)
+    got = dense_dissipation(folded, h)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.abs(want).max())
+    pa = np.diag(h * build_sbp(order, n).p) @ got
+    assert np.linalg.eigvalsh(0.5 * (pa + pa.T)).max() <= 1e-12
+
+
+def test_fold_edge_cases():
+    assert fold_dissipation((), 0.1) is None
+    with pytest.raises(ValueError, match="point count"):
+        fold_dissipation([build_dissipation(2, "upwind", 1.0, 10),
+                          build_dissipation(2, "upwind", 1.0, 11)], 0.1)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from inductionfd import (
+    InstabilityError,
     assemble,
     build_sbp,
     discrete_divergence,
@@ -236,6 +237,35 @@ class TestRunHarnesses:
         assert len(rows) == 2
         assert not rows[0].failed and np.isfinite(rows[0].error_percent)
         assert rows[1].failed and np.isnan(rows[1].error_percent)
+
+    def test_stage_overflow_becomes_failed_row(self):
+        """At CFL 1 the upwind order-2 scheme overflows inside an RK stage;
+        each grid is a failed row and the study goes on to the next."""
+        scheme = scheme_config("sbp1", cfl=1.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            results = run_convergence_study(
+                experiment3(), [scheme], grids=(10, 20), t_final=50.0
+            )
+        rows = results["sbp1"]
+        assert [r.failed for r in rows] == [True, True]
+        assert all(0.0 < r.time < 50.0 for r in rows)
+
+    def test_overflowing_end_state_becomes_failed_row(self):
+        """Without dissipation at CFL 0.8 the order-4 scheme ends the run with
+        finite values whose error and P-energy overflow at 40^2: run_single
+        reports that as an instability, so the study records a failed row."""
+        scheme = scheme_config("sbp4", cfl=0.8, dissipation="none")
+        with np.errstate(over="ignore"):
+            with pytest.raises(InstabilityError, match="inf") as excinfo:
+                run_single(assemble(experiment3(), scheme, 40, 40), t_final=20.0)
+            results = run_convergence_study(
+                experiment3(), [scheme], grids=(20, 40), t_final=20.0
+            )
+        err = excinfo.value
+        assert err.time == 20.0 and np.isfinite(err.last_state).all()
+        rows = results["sbp4"]
+        assert not rows[0].failed and np.isfinite(rows[0].error_percent)
+        assert rows[1].failed and rows[1].time == 20.0
 
     def test_long_time_records_each_rotation(self):
         records = run_long_time(experiment1(), scheme_config("sbp2"), 20, 20, 2)

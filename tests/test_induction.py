@@ -7,14 +7,22 @@ from inductionfd import (
     BoundaryData,
     Grid2D,
     MagneticField,
+    assemble,
     boundary_trace,
     build_dissipation,
     build_sbp,
     compute_rhs,
+    experiment1,
+    experiment2,
     make_sat_config,
     sample_velocity,
     sat_sigma,
+    scheme_config,
+    study_config,
 )
+from inductionfd import induction
+
+from dense_oracle import dense_dissipation, dense_rhs_matrix
 
 
 def _setup(grid, order, theta=1.0, velocity=None, alpha=None, scaling="upwind"):
@@ -315,3 +323,114 @@ class TestConsistency:
             errs.append(float(np.sqrt(np.sum(weights * (got - want) ** 2))))
         rate = np.log2(errs[0] / errs[1])
         assert abs(rate - expected_rate) < 0.2
+
+
+def _per_term_rhs(setup, v, t):
+    """The RHS with every dissipation term applied on its own."""
+    return compute_rhs(v, t, setup.grid, setup.coeffs, setup.bdata, setup.sat,
+                       setup.op_x, setup.op_y, setup.diss_x, setup.diss_y)
+
+
+def _no_trace(*args, **kwargs):
+    raise AssertionError("boundary_trace called from the RHS")
+
+
+_SCHEMES = [scheme_config(name) for name in ("sbp1", "sbp2", "sbp3", "sbp4")]
+_SCHEMES.append(study_config("sbp4"))
+
+
+class TestFusedRhs:
+    """RunSetup.rhs applies one folded dissipation operator per axis to the
+    stacked state; it must agree with the per-term sum and the dense oracle."""
+
+    @pytest.mark.parametrize("scheme", _SCHEMES,
+                             ids=["sbp1", "sbp2", "sbp3", "sbp4", "sbp4-study"])
+    @pytest.mark.parametrize("npx, npy", [(9, 13), (14, 10)])
+    def test_matches_per_term_sum_and_dense_oracle(self, scheme, npx, npy):
+        rng = np.random.default_rng(npx * npy)
+        # zero boundary data: the RHS is exactly the dense matrix times V
+        setup = assemble(experiment1(), scheme, npx, npy)
+        grid = setup.grid
+        matrix = dense_rhs_matrix(grid, scheme.order, setup.spec.velocity,
+                                  theta=scheme.theta)
+        eye_x, eye_y = np.eye(npx), np.eye(npy)
+        for term_x, term_y in zip(setup.diss_x, setup.diss_y):
+            spread = np.kron(
+                dense_dissipation(scheme.order, term_x.scaling, term_x.alpha, npx,
+                                  grid.dx, width=term_x.width), eye_y,
+            ) + np.kron(
+                eye_x, dense_dissipation(scheme.order, term_y.scaling, term_y.alpha,
+                                         npy, grid.dy, width=term_y.width),
+            )
+            matrix += np.kron(np.eye(2), spread)
+        for _ in range(5):
+            v = rng.standard_normal((2, npx, npy))
+            fused = setup.rhs(0.0, v)
+            np.testing.assert_allclose(fused, _per_term_rhs(setup, v, 0.0),
+                                       rtol=0, atol=1e-13)
+            dense = (matrix @ v.ravel()).reshape(v.shape)
+            np.testing.assert_allclose(fused, dense, rtol=0, atol=1e-13)
+        # time-dependent exact data on all four sides
+        setup = assemble(experiment2(), scheme, npx, npy)
+        v = rng.standard_normal((2, npx, npy))
+        want = _per_term_rhs(setup, v, 0.4)
+        np.testing.assert_allclose(setup.rhs(0.4, v), want, rtol=0,
+                                   atol=1e-13 * np.abs(want).max())
+
+    def test_exact_data_sampled_once_per_rhs(self, monkeypatch):
+        grid = Grid2D(0.0, 1.0, -1.0, 2.0, 9, 12)
+        op_x, op_y, coeffs, sat, dx, dy = _setup(
+            grid, 4, velocity=lambda x, y: (-y, x), alpha=0.5
+        )
+        calls = []
+
+        def exact(x, y, t):
+            calls.append(t)
+            return np.sin(x + 2.0 * y + t), np.cos(x - y)
+
+        bdata = BoundaryData.from_exact(grid, exact)
+        # the per-side traces, taken before boundary_trace is disabled
+        traces = [boundary_trace(bdata, side, 0.3) for side in induction.SIDES]
+        calls.clear()
+        monkeypatch.setattr(induction, "boundary_trace", _no_trace)
+        v = np.random.default_rng(3).standard_normal((2, 9, 12))
+        got = compute_rhs(v, 0.3, grid, coeffs, bdata, sat, op_x, op_y, dx, dy)
+        assert calls == [0.3]
+        # the data enters only as -coef * g on each side, corners twice
+        zero = compute_rhs(v, 0.3, grid, coeffs, BoundaryData.zero(grid), sat,
+                           op_x, op_y, dx, dy)
+        want = np.zeros_like(v)
+        edges = (np.s_[:, 0, :], np.s_[:, -1, :], np.s_[:, :, 0], np.s_[:, :, -1])
+        coefs = (sat.coef_xmin, sat.coef_xmax, sat.coef_ymin, sat.coef_ymax)
+        for edge, coef, (g1, g2) in zip(edges, coefs, traces):
+            want[edge] -= coef * np.stack([g1, g2])
+        np.testing.assert_allclose(got - zero, want, rtol=0, atol=1e-12)
+
+    def test_zero_data_evaluates_nothing(self, monkeypatch):
+        grid = Grid2D(0.0, 1.0, 0.0, 1.0, 8, 10)
+        op_x, op_y, coeffs, sat, _, _ = _setup(grid, 2)
+        bdata = BoundaryData.zero(grid)
+        monkeypatch.setattr(induction, "boundary_trace", _no_trace)
+        assert bdata.all_sides(0.5) is None
+        v = np.random.default_rng(8).standard_normal((2, 8, 10))
+        rhs = compute_rhs(v, 0.5, grid, coeffs, bdata, sat, op_x, op_y)
+        assert np.isfinite(rhs).all()
+
+    def test_table_data_matches_exact_data(self):
+        """Table mode goes through boundary_trace side by side and must
+        place each side's data where exact mode does."""
+        grid = Grid2D(0.0, 1.0, 0.0, 1.0, 7, 9)
+        op_x, op_y, coeffs, sat, _, _ = _setup(grid, 2, velocity=lambda x, y: (-y, x))
+        exact = BoundaryData.from_exact(grid, lambda x, y, t: (x + 3.0 * y, x * y))
+        times = np.array([0.0, 1.0])
+        table = {}
+        for side in induction.SIDES:
+            g1, g2 = boundary_trace(exact, side, 0.0)
+            table[side] = (times, np.stack([g1, g1]), np.stack([g2, g2]))
+        tabled = BoundaryData.from_table(grid, table)
+        v = np.random.default_rng(4).standard_normal((2, 7, 9))
+        args = (grid, coeffs)
+        np.testing.assert_array_equal(
+            compute_rhs(v, 0.5, *args, tabled, sat, op_x, op_y),
+            compute_rhs(v, 0.5, *args, exact, sat, op_x, op_y),
+        )

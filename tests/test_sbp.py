@@ -3,7 +3,14 @@
 import numpy as np
 import pytest
 
-from inductionfd import Grid2D, apply_dx, apply_dy, build_sbp, verify_sbp
+from inductionfd import (
+    Grid2D,
+    apply_dx,
+    apply_dy,
+    build_dissipation,
+    build_sbp,
+    verify_sbp,
+)
 from inductionfd.sbp import EXACT_DEGREE, write_operator_csv
 
 from dense_oracle import dense_d, dense_p, dense_q
@@ -163,3 +170,29 @@ class TestGrid:
         kw.update(bad)
         with pytest.raises(ValueError):
             Grid2D(**kw)
+
+
+@pytest.mark.parametrize("order", [2, 4])
+def test_stacked_apply_matches_per_field(order):
+    """Applying to a stack of fields equals applying to each field alone,
+    along both axes, for derivative and dissipation operators; ``out``
+    receives the result."""
+    rng = np.random.default_rng(13)
+    grid = Grid2D(-1.0, 1.5, 0.0, 2.0, 14, 11)
+    stack = rng.normal(size=(3, 2) + grid.shape)
+    cases = (
+        (apply_dx, build_sbp(order, grid.npx)),
+        (apply_dy, build_sbp(order, grid.npy)),
+        (apply_dx, build_dissipation(order, "upwind", 0.8, grid.npx, width=3)),
+        (apply_dy, build_dissipation(order, "accurate", 2.5, grid.npy)),
+    )
+    for apply, op in cases:
+        got = apply(op, stack, grid)
+        for index in np.ndindex(stack.shape[:2]):
+            np.testing.assert_allclose(got[index], apply(op, stack[index], grid),
+                                       rtol=0, atol=1e-13)
+        out = np.full_like(stack, np.nan)
+        assert apply(op, stack, grid, out=out) is out
+        np.testing.assert_array_equal(out, got)
+    with pytest.raises(ValueError, match="does not match grid"):
+        apply_dx(build_sbp(order, grid.npx), np.zeros((2, 14, 12)), grid)

@@ -8,16 +8,19 @@ from inductionfd import (
     Grid2D,
     InstabilityError,
     IntegratorConfig,
+    assemble,
     build_dissipation,
     build_sbp,
     compute_dt,
     compute_rhs,
+    experiment3,
     integrate,
     make_sat_config,
     p_energy,
     rk2_step,
     rk4_step,
     sample_velocity,
+    scheme_config,
 )
 
 import dense_oracle
@@ -181,6 +184,23 @@ class TestIntegrate:
         assert err.step == 1
         assert err.time == 0.0
         np.testing.assert_array_equal(err.last_state, v0)
+
+    def test_stage_overflow_becomes_instability(self):
+        """A stage whose state overflows inside compute_rhs is an instability
+        of the run, reported with its step, time and last finite state."""
+        setup = assemble(experiment3(), scheme_config("sbp1"), 40, 40)
+        config = IntegratorConfig(t_final=50.0, fixed_dt=0.05)
+        with pytest.raises(InstabilityError) as excinfo, \
+                np.errstate(over="ignore", invalid="ignore"):
+            integrate(setup.v0.data, config, setup.rhs)
+        err = excinfo.value
+        assert err.step is not None and err.step >= 1
+        assert err.time == pytest.approx((err.step - 1) * 0.05)
+        assert err.last_state.shape == (2, 40, 40)
+        assert np.isfinite(err.last_state).all()
+        # called directly, compute_rhs still rejects the state as bad input
+        with pytest.raises(ValueError, match="non-finite"):
+            setup.rhs(0.0, np.full((2, 40, 40), np.inf))
 
     def test_integration_error_converges_second_order(self):
         """Global Heun error vs exp(M t) shrinks 4x when dt halves."""
