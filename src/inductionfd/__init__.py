@@ -32,7 +32,6 @@ from .induction import (
     MagneticField,
     SatConfig,
     VelocityCoeffs,
-    boundary_trace,
     compute_rhs,
     make_sat_config,
     sample_velocity,
@@ -45,7 +44,6 @@ from .sbp import (
     apply_dy,
     build_sbp,
     verify_sbp,
-    write_operator_csv,
 )
 from .timestep import (
     InstabilityError,
@@ -76,7 +74,6 @@ __all__ = [
     "apply_dx",
     "apply_dy",
     "assemble",
-    "boundary_trace",
     "build_dissipation",
     "build_sbp",
     "compute_dt",
@@ -104,5 +101,4 @@ __all__ = [
     "study_config",
     "study_spec",
     "verify_sbp",
-    "write_operator_csv",
 ]

@@ -19,7 +19,6 @@ from .diagnostics import (
 )
 from .experiments import (
     DISSIPATION_MODES,
-    MIN_GRID_POINTS,
     SCHEMES,
     assemble,
     get_experiment,
@@ -80,12 +79,14 @@ def _build_parser() -> _Parser:
                         help="grid points along x (default: %(default)s)")
     parser.add_argument("--ny", type=int, default=100,
                         help="grid points along y (default: %(default)s)")
-    parser.add_argument("--cfl", type=float, default=0.45,
-                        help="CFL number (default: %(default)s)")
+    parser.add_argument("--cfl", type=float, default=None,
+                        help="CFL number (default: the scheme's, 0.9 for sbp4 "
+                        "and 0.45 for the others)")
     parser.add_argument("--tfinal", type=float, default=None,
                         help="final time (default: the experiment's)")
-    parser.add_argument("--integrator", choices=METHODS, default="rk2",
-                        help="time integrator (default: %(default)s)")
+    parser.add_argument("--integrator", choices=METHODS, default=None,
+                        help="time integrator (default: the scheme's, rk4 for "
+                        "sbp4 and rk2 for the others)")
     parser.add_argument("--dissipation", choices=DISSIPATION_MODES, default=None,
                         help="override the scheme's dissipation mode")
     parser.add_argument("--theta", type=float, default=1.0,
@@ -102,6 +103,7 @@ def _build_parser() -> _Parser:
 def parse_args(argv) -> RunConfig:
     """Parse and cross-validate CLI flags into a RunConfig.
 
+    ``--cfl`` and ``--integrator`` default to the scheme's own values.
     Raises SystemExit (caught by main and turned into exit code 1) on
     unknown flags or inconsistent combinations.
     """
@@ -114,14 +116,9 @@ def parse_args(argv) -> RunConfig:
             f"scheme {ns.scheme} is defined by upwind dissipation; "
             f"--dissipation {ns.dissipation} contradicts it (use sbp2/sbp4 instead)"
         )
-    minimum = MIN_GRID_POINTS[scheme.order]
-    if not ns.study and (ns.nx < minimum or ns.ny < minimum):
-        parser.error(
-            f"scheme {ns.scheme} needs at least {minimum} points per axis, "
-            f"got {ns.nx}x{ns.ny}"
-        )
-    if not (0 < ns.cfl <= 1):
-        parser.error(f"--cfl must lie in (0, 1], got {ns.cfl}")
+    cfl = scheme.cfl if ns.cfl is None else ns.cfl
+    if not (0 < cfl <= 1):
+        parser.error(f"--cfl must lie in (0, 1], got {cfl}")
     if ns.theta < 0.5:
         parser.error(f"--theta must be >= 0.5, got {ns.theta}")
     if ns.tfinal is not None and ns.tfinal < 0:
@@ -133,9 +130,9 @@ def parse_args(argv) -> RunConfig:
         scheme=ns.scheme,
         nx=ns.nx,
         ny=ns.ny,
-        cfl=ns.cfl,
+        cfl=cfl,
         t_final=ns.tfinal,
-        integrator=ns.integrator,
+        integrator=scheme.integrator if ns.integrator is None else ns.integrator,
         dissipation=ns.dissipation,
         theta=ns.theta,
         out=ns.out,
@@ -200,22 +197,30 @@ def write_field_dump(field: MagneticField, div: np.ndarray, path, meta: dict) ->
             fh.write(row_format % tuple(cells.ravel()))
 
 
-def _run_study(config: RunConfig, out: Path) -> int:
+def _make_out_dir(out: Path) -> bool:
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"cannot create output directory {out}: {exc}", file=sys.stderr)
+        return False
+    return True
+
+
+def _run_study(config: RunConfig) -> int:
     # Studies reproduce the reference tables: exact boundary trace for the
-    # large-domain hump and the damping blend for the plain order-4
-    # scheme under two-stage integration (see experiments.study_config).
+    # large-domain hump and accurate dissipation for the plain order-4
+    # scheme (see experiments.study_config).
     spec = study_spec(get_experiment(config.experiment))
-    overrides = {}
-    if config.dissipation:
-        # an explicit mode replaces the whole dissipation package
-        overrides = {"dissipation": config.dissipation, "extra_dissipation": ()}
     scheme = replace(
         study_config(config.scheme),
         theta=config.theta,
         cfl=config.cfl,
         integrator=config.integrator,
-        **overrides,
+        **({"dissipation": config.dissipation} if config.dissipation else {}),
     )
+    out = config.out
+    if not _make_out_dir(out):
+        return 1
     results = run_convergence_study(spec, [scheme], t_final=config.t_final)
     records = results[scheme.name]
     table = out / f"table_exp{config.experiment}_{scheme.name}.csv"
@@ -227,7 +232,7 @@ def _run_study(config: RunConfig, out: Path) -> int:
     return 2 if any(rec.failed for rec in records) else 0
 
 
-def _run_once(config: RunConfig, out: Path) -> int:
+def _run_once(config: RunConfig) -> int:
     spec = get_experiment(config.experiment)
     scheme = scheme_config(
         config.scheme,
@@ -236,7 +241,14 @@ def _run_once(config: RunConfig, out: Path) -> int:
         integrator=config.integrator,
         **({"dissipation": config.dissipation} if config.dissipation else {}),
     )
-    setup = assemble(spec, scheme, config.nx, config.ny)
+    try:
+        setup = assemble(spec, scheme, config.nx, config.ny)
+    except ValueError as exc:
+        print(f"inductionfd: error: {exc}", file=sys.stderr)
+        return 1
+    out = config.out
+    if not _make_out_dir(out):
+        return 1
     t_final = spec.t_final if config.t_final is None else config.t_final
     meta = {
         "experiment": config.experiment,
@@ -289,15 +301,9 @@ def main(argv=None) -> int:
                 print(exc.code, file=sys.stderr)
             return 1
         return 0
-    out = config.out
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        print(f"cannot create output directory {out}: {exc}", file=sys.stderr)
-        return 1
     if config.study:
-        return _run_study(config, out)
-    return _run_once(config, out)
+        return _run_study(config)
+    return _run_once(config)
 
 
 if __name__ == "__main__":

@@ -17,7 +17,7 @@ upwind-scaled dissipation to them, lowering the formal order by one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -29,12 +29,7 @@ from .diagnostics import (
     p_energy,
     rel_percent_error,
 )
-from .dissipation import (
-    DissipationOperator1D,
-    FoldedDissipation1D,
-    build_dissipation,
-    fold_dissipation,
-)
+from .dissipation import DissipationOperator1D, build_dissipation
 from .grid import Grid2D
 from .induction import (
     BoundaryData,
@@ -50,29 +45,21 @@ from .timestep import InstabilityError, IntegratorConfig, integrate
 
 DISSIPATION_MODES = ("none", "accurate", "upwind")
 
-#: nodes required per axis by the closure of each operator order
-MIN_GRID_POINTS = {2: 3, 4: 9}
-
 
 @dataclass(frozen=True)
 class SchemeConfig:
     """Operator order plus dissipation, penalty and integrator choices.
 
-    ``diss_width`` overrides the difference order of the dissipation
-    stencil (default: operator order / 2).  ``extra_dissipation`` adds
-    further damping terms on top of the primary mode, each given as a
-    ``(scaling, alpha, width)`` triple; their tendencies simply add.
+    A dissipation mode other than ``none`` adds one term along each axis
+    whose strength is the largest sampled speed |u1| + |u2|.
     """
 
     name: str
     order: int
     dissipation: str = "none"
-    alpha: float | None = None
-    diss_width: int | None = None
     theta: float = 1.0
     cfl: float = 0.45
     integrator: str = "rk2"
-    extra_dissipation: tuple = ()
 
     def __post_init__(self) -> None:
         if self.dissipation not in DISSIPATION_MODES:
@@ -80,23 +67,17 @@ class SchemeConfig:
                 f"unknown dissipation mode {self.dissipation!r}, "
                 f"expected one of {DISSIPATION_MODES}"
             )
-        for term in self.extra_dissipation:
-            scaling, alpha, width = term
-            if scaling not in ("accurate", "upwind"):
-                raise ValueError(
-                    f"unknown dissipation scaling {scaling!r} in extra term"
-                )
-            if alpha < 0:
-                raise ValueError(f"extra dissipation alpha must be >= 0, got {alpha}")
-            if width < 1:
-                raise ValueError(f"extra dissipation width must be >= 1, got {width}")
 
 
+#: ``sbp4`` has no dissipation, so its spectrum lies on or next to the
+#: imaginary axis.  The two-stage method amplifies such modes
+#: (|1 + z + z^2/2| > 1 there); classical RK4 is stable on the imaginary
+#: axis up to |z| = 2*sqrt(2), so ``sbp4`` runs RK4 at twice the CFL number.
 SCHEMES = {
     "sbp1": SchemeConfig("sbp1", order=2, dissipation="upwind"),
     "sbp2": SchemeConfig("sbp2", order=2, dissipation="none"),
     "sbp3": SchemeConfig("sbp3", order=4, dissipation="upwind"),
-    "sbp4": SchemeConfig("sbp4", order=4, dissipation="none"),
+    "sbp4": SchemeConfig("sbp4", order=4, integrator="rk4", cfl=0.9),
 }
 
 
@@ -111,41 +92,18 @@ def scheme_config(name: str, **overrides) -> SchemeConfig:
     return replace(base, **overrides) if overrides else base
 
 
-#: damping attached to the plain order-4 scheme in convergence and
-#: long-time studies.  Two terms with distinct jobs:
-#:
-#: * the width-3 upwind term is the stabilizer.  Any two-stage
-#:   second-order integrator amplifies the highest-wavenumber modes of a
-#:   central scheme (|1 + z + z^2/2| > 1 on the imaginary axis) at a rate
-#:   that grows like 1/h, so fine grids need damping with the same 1/h
-#:   scaling; the width-3 stencil keeps the consistency footprint at the
-#:   scheme's own O(h^3) global order, where the standard width-2 upwind
-#:   operator would cost a visible O(h^2) boundary error.
-#:
-#: * the width-2 accurate-scaled term supplies the dominant *visible*
-#:   truncation error, decaying at close to fourth order.  Without it the
-#:   measured error on fine grids bottoms out on the integrator's O(dt^2)
-#:   phase error (dt is tied to h through the CFL number, so that floor
-#:   falls only at second order and flattens the observed spatial rate).
-STUDY_SAFETY = {
-    "dissipation": "upwind",
-    "alpha": 0.2,
-    "diss_width": 3,
-    "extra_dissipation": (("accurate", 6.0, 2),),
-}
-
-
 def study_config(name: str) -> SchemeConfig:
     """Scheme configuration used by the convergence/long-time studies.
 
-    The plain order-4 scheme integrated by the two-stage method receives
-    the study damping blend (see STUDY_SAFETY); every other scheme runs
-    exactly as registered.
+    The plain order-4 scheme gains accurate-scaled dissipation, which
+    keeps its formal order and lowers its fine-grid error where the hump
+    crosses the boundary (experiment 2 at 80^2, t = pi/2: 0.0325 percent
+    without, 0.02095 percent with); every other scheme runs exactly as
+    registered.
     """
     scheme = scheme_config(name)
-    if (scheme.order == 4 and scheme.dissipation == "none"
-            and scheme.integrator == "rk2"):
-        return replace(scheme, **STUDY_SAFETY)
+    if name == "sbp4":
+        return replace(scheme, dissipation="accurate")
     return scheme
 
 
@@ -276,9 +234,8 @@ def get_experiment(ident: int) -> ExperimentSpec:
 class RunSetup:
     """Everything needed to advance one (experiment, scheme, grid) run.
 
-    ``diss_x``/``diss_y`` list the scheme's dissipation terms one by one;
-    ``fold_x``/``fold_y`` are their sums with the grid spacing folded in
-    (None without dissipation), which is what :meth:`rhs` applies.
+    ``diss_x``/``diss_y`` are the scheme's dissipation operators, None
+    without dissipation.
     """
 
     spec: ExperimentSpec
@@ -289,20 +246,14 @@ class RunSetup:
     coeffs: VelocityCoeffs
     bdata: BoundaryData
     sat: SatConfig
-    diss_x: tuple[DissipationOperator1D, ...]
-    diss_y: tuple[DissipationOperator1D, ...]
+    diss_x: DissipationOperator1D | None
+    diss_y: DissipationOperator1D | None
     v0: MagneticField
-    fold_x: FoldedDissipation1D | None = field(init=False, repr=False, compare=False)
-    fold_y: FoldedDissipation1D | None = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "fold_x", fold_dissipation(self.diss_x, self.grid.dx))
-        object.__setattr__(self, "fold_y", fold_dissipation(self.diss_y, self.grid.dy))
 
     def rhs(self, t: float, v: np.ndarray) -> np.ndarray:
         return compute_rhs(
             v, t, self.grid, self.coeffs, self.bdata, self.sat,
-            self.op_x, self.op_y, self.fold_x, self.fold_y,
+            self.op_x, self.op_y, self.diss_x, self.diss_y,
         )
 
 
@@ -311,20 +262,11 @@ def assemble(
     scheme: SchemeConfig,
     npx: int,
     npy: int,
-    dissipation: str | None = None,
 ) -> RunSetup:
     """Build grid, operators, coefficients and data for one run.
 
-    ``dissipation`` overrides the scheme's whole dissipation package when
-    given: the primary mode is replaced and any extra terms are dropped.
+    Raises ValueError for a grid too small for the scheme's operators.
     """
-    mode = scheme.dissipation if dissipation is None else dissipation
-    minimum = MIN_GRID_POINTS[scheme.order]
-    if npx < minimum or npy < minimum:
-        raise ValueError(
-            f"order-{scheme.order} scheme needs at least {minimum} points per axis, "
-            f"got {npx}x{npy}"
-        )
     grid = spec.make_grid(npx, npy)
     op_x = build_sbp(scheme.order, npx)
     op_y = build_sbp(scheme.order, npy)
@@ -334,18 +276,11 @@ def assemble(
     else:
         bdata = BoundaryData.from_exact(grid, spec.exact)
     sat = make_sat_config(coeffs, grid, op_x, op_y, scheme.theta)
-    terms = []
-    if mode != "none":
-        alpha = coeffs.max_speed if scheme.alpha is None else scheme.alpha
-        terms.append((mode, alpha, scheme.diss_width))
-    if dissipation is None:
-        terms.extend(scheme.extra_dissipation)
-    diss_x = tuple(
-        build_dissipation(scheme.order, m, a, npx, width=w) for m, a, w in terms
-    )
-    diss_y = tuple(
-        build_dissipation(scheme.order, m, a, npy, width=w) for m, a, w in terms
-    )
+    diss_x = diss_y = None
+    if scheme.dissipation != "none":
+        alpha = coeffs.max_speed
+        diss_x = build_dissipation(scheme.order, scheme.dissipation, alpha, npx)
+        diss_y = build_dissipation(scheme.order, scheme.dissipation, alpha, npy)
     v0 = MagneticField.sample(grid, spec.initial)
     return RunSetup(
         spec=spec, scheme=scheme, grid=grid, op_x=op_x, op_y=op_y,

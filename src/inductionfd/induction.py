@@ -22,6 +22,7 @@ from typing import Callable
 
 import numpy as np
 
+from .dissipation import DissipationOperator1D
 from .grid import Grid2D
 from .sbp import SbpOperator1D, apply_dx, apply_dy
 
@@ -168,16 +169,12 @@ def sat_sigma(u_inward, theta: float = 1.0):
 class SatConfig:
     """Per-side SAT penalties divided by the boundary norm weight.
 
-    ``sigma_*`` hold the raw penalty values per boundary node; ``coef_*``
-    are sigma / (h * p_end) and multiply (V - g) on the boundary slice.
+    ``coef_*`` are sigma / (h * p_end), with sigma from :func:`sat_sigma`
+    per boundary node, and multiply (V - g) on the boundary slice.
     Corner nodes receive the contributions of both adjacent sides.
     """
 
     theta: float
-    sigma_xmin: np.ndarray
-    sigma_xmax: np.ndarray
-    sigma_ymin: np.ndarray
-    sigma_ymax: np.ndarray
     coef_xmin: np.ndarray
     coef_xmax: np.ndarray
     coef_ymin: np.ndarray
@@ -204,10 +201,6 @@ def make_sat_config(
     pny = grid.dy * op_y.p[-1]
     return SatConfig(
         theta=theta,
-        sigma_xmin=sig["xmin"],
-        sigma_xmax=sig["xmax"],
-        sigma_ymin=sig["ymin"],
-        sigma_ymax=sig["ymax"],
         coef_xmin=sig["xmin"] / p0x,
         coef_xmax=sig["xmax"] / pnx,
         coef_ymin=sig["ymin"] / p0y,
@@ -219,30 +212,25 @@ def make_sat_config(
 class BoundaryData:
     """Dirichlet data evaluator for the four sides of the domain.
 
-    ``mode`` is one of ``zero``, ``exact`` or ``table``.  In ``exact`` mode
-    ``exact`` is a callable (X, Y, t) -> (B1, B2) sampled on the requested
-    side; in ``table`` mode ``table`` maps each side to (times, g1, g2)
-    arrays of shape (nt,), (nt, m), (nt, m) that are interpolated linearly
-    in time.  The side coordinates are computed once, concatenated in
-    ``SIDES`` order (npy nodes per x side, npx per y side), so the
-    exact callable can sample all four sides in one call.
+    ``mode`` is ``zero`` or ``exact``.  In ``exact`` mode ``exact`` is a
+    callable (X, Y, t) -> (B1, B2) sampled on the boundary nodes.  The side
+    coordinates are computed once, concatenated in ``SIDES`` order (npy
+    nodes per x side, npx per y side), so the exact callable samples all
+    four sides in one call.
     """
 
     grid: Grid2D
     mode: str
     exact: Callable | None = None
-    table: dict | None = None
     side_x: np.ndarray = field(init=False, repr=False, compare=False)
     side_y: np.ndarray = field(init=False, repr=False, compare=False)
     bounds: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.mode not in ("zero", "exact", "table"):
+        if self.mode not in ("zero", "exact"):
             raise ValueError(f"unknown boundary mode {self.mode!r}")
         if self.mode == "exact" and self.exact is None:
             raise ValueError("exact boundary mode needs an exact-solution callable")
-        if self.mode == "table" and self.table is None:
-            raise ValueError("table boundary mode needs per-side time tables")
         grid = self.grid
         x, y = grid.x, grid.y
         side_x = np.concatenate([np.full(grid.npy, grid.xmin), np.full(grid.npy, grid.xmax),
@@ -266,10 +254,6 @@ class BoundaryData:
     def from_exact(cls, grid: Grid2D, exact: Callable) -> "BoundaryData":
         return cls(grid, "exact", exact=exact)
 
-    @classmethod
-    def from_table(cls, grid: Grid2D, table: dict) -> "BoundaryData":
-        return cls(grid, "table", table=table)
-
     def all_sides(self, t: float) -> np.ndarray | None:
         """Data (g1, g2) on all four sides at time t, shape (2, 2*npy + 2*npx).
 
@@ -278,55 +262,10 @@ class BoundaryData:
         """
         if self.mode == "zero":
             return None
-        if self.mode == "exact":
-            g1, g2 = self.exact(self.side_x, self.side_y, t)
-            shape = self.side_x.shape
-            return np.stack([np.broadcast_to(np.asarray(g1, dtype=float), shape),
-                             np.broadcast_to(np.asarray(g2, dtype=float), shape)])
-        return np.concatenate(
-            [np.stack(boundary_trace(self, side, t)) for side in SIDES], axis=1
-        )
-
-
-def boundary_trace(bdata: BoundaryData, side: str, t: float) -> tuple[np.ndarray, np.ndarray]:
-    """Evaluate the Dirichlet data (g1, g2) along one side at time t.
-
-    Returns arrays of length npy for the x sides and npx for the y sides,
-    ordered by the node index along the side.
-    """
-    try:
-        part = bdata.bounds[side]
-    except KeyError:
-        raise ValueError(f"unknown side {side!r}, expected one of {SIDES}") from None
-    x, y = bdata.side_x[part], bdata.side_y[part]
-    if bdata.mode == "zero":
-        return np.zeros(x.size), np.zeros(x.size)
-    if bdata.mode == "exact":
-        g1, g2 = bdata.exact(x, y, t)
-        return (
-            np.broadcast_to(np.asarray(g1, dtype=float), x.shape).copy(),
-            np.broadcast_to(np.asarray(g2, dtype=float), x.shape).copy(),
-        )
-    times, g1, g2 = bdata.table[side]
-    if not (times[0] <= t <= times[-1]):
-        raise ValueError(f"time {t} outside tabulated range [{times[0]}, {times[-1]}]")
-    k = int(np.searchsorted(times, t, side="right") - 1)
-    k = min(k, len(times) - 2)
-    w = (t - times[k]) / (times[k + 1] - times[k])
-    return (
-        (1 - w) * np.asarray(g1[k], dtype=float) + w * np.asarray(g1[k + 1], dtype=float),
-        (1 - w) * np.asarray(g2[k], dtype=float) + w * np.asarray(g2[k + 1], dtype=float),
-    )
-
-
-def _dissipation_ops(diss) -> tuple:
-    """Normalize a dissipation argument (None, one operator, or a
-    sequence of operators) to a tuple."""
-    if diss is None:
-        return ()
-    if isinstance(diss, (tuple, list)):
-        return tuple(diss)
-    return (diss,)
+        g1, g2 = self.exact(self.side_x, self.side_y, t)
+        shape = self.side_x.shape
+        return np.stack([np.broadcast_to(np.asarray(g1, dtype=float), shape),
+                         np.broadcast_to(np.asarray(g2, dtype=float), shape)])
 
 
 #: boundary slice of a stacked (2, npx, npy) array for each side, in SIDES order
@@ -342,14 +281,13 @@ def compute_rhs(
     sat: SatConfig,
     op_x: SbpOperator1D,
     op_y: SbpOperator1D,
-    diss_x=None,
-    diss_y=None,
+    diss_x: DissipationOperator1D | None = None,
+    diss_y: DissipationOperator1D | None = None,
 ) -> np.ndarray:
     """Semi-discrete tendency dV/dt for a field of shape (2, npx, npy).
 
     Adds, in order: the advection terms, the velocity-gradient coupling,
-    optional dissipation along each axis (``diss_x``/``diss_y`` each take
-    one operator or a sequence whose contributions add), and the per-side
+    the optional dissipation operator along each axis, and the per-side
     SAT penalties (sigma / p_boundary) * (V - g) on the boundary slices of
     both components.  Corner nodes accumulate both adjacent sides.  Each
     operator is applied once to both components together, and the
@@ -374,10 +312,10 @@ def compute_rhs(
     rhs[1] += coeffs.du2dx * v1
     rhs[1] -= coeffs.du1dx * v2
 
-    for op in _dissipation_ops(diss_x):
-        rhs += apply_dx(op, v, grid, out=work)
-    for op in _dissipation_ops(diss_y):
-        rhs += apply_dy(op, v, grid, out=work)
+    if diss_x is not None:
+        rhs += apply_dx(diss_x, v, grid, out=work)
+    if diss_y is not None:
+        rhs += apply_dy(diss_y, v, grid, out=work)
 
     g = bdata.all_sides(t)
     coefs = (sat.coef_xmin, sat.coef_xmax, sat.coef_ymin, sat.coef_ymax)

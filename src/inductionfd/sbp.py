@@ -91,10 +91,6 @@ class SbpOperator1D:
         object.__setattr__(self, "bot", _frozen(-top[::-1, ::-1]))
         object.__setattr__(self, "interior", _frozen(self.q_interior))
 
-    def dense_p(self) -> np.ndarray:
-        """Diagonal of the norm matrix as multiples of h, shape (n,)."""
-        return self.p.copy()
-
     def dense_q(self) -> np.ndarray:
         """Dense skew part Q, shape (n, n)."""
         n = self.n
@@ -256,11 +252,3 @@ def verify_sbp(op: SbpOperator1D) -> SbpReport:
         min_norm_weight=float(op.p.min()),
     )
 
-
-def write_operator_csv(op: SbpOperator1D, path) -> None:
-    """Dump the nonzero entries of h*D as ``row,col,value`` triplets."""
-    hd = op.dense_q() / op.p[:, None]
-    with open(path, "w") as fh:
-        fh.write("row,col,value\n")
-        for i, j in zip(*np.nonzero(hd)):
-            fh.write(f"{i},{j},{hd[i, j]!r}\n")

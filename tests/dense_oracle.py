@@ -36,7 +36,7 @@ _INTERIOR = {
     4: np.array([1.0 / 12.0, -2.0 / 3.0, 0.0, 2.0 / 3.0, -1.0 / 12.0]),
 }
 
-_DISS_COEF = {1: 0.5, 2: 1.0 / 12.0, 3: 1.0 / 30.0}
+_DISS_COEF = {1: 0.5, 2: 1.0 / 12.0}
 
 
 def dense_p(order: int, n: int, h: float) -> np.ndarray:
@@ -85,12 +85,9 @@ def dense_difference(n: int, p: int) -> np.ndarray:
 
 
 def dense_dissipation(order: int, scaling: str, alpha: float, n: int,
-                      h: float, width: int | None = None) -> np.ndarray:
-    """Dense dissipation A = -alpha c_p s(h) P^{-1} S^T S.
-
-    ``width`` is the difference order p (default order/2).
-    """
-    p = order // 2 if width is None else width
+                      h: float) -> np.ndarray:
+    """Dense dissipation A = -alpha c_p s(h) P^{-1} S^T S."""
+    p = order // 2
     s_mat = dense_difference(n, p)
     s_h = h if scaling == "accurate" else 1.0
     pinv = np.linalg.inv(dense_p(order, n, h))

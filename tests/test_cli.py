@@ -44,6 +44,21 @@ class TestParseArgs:
         assert config.out == tmp_path
         assert config.dump_every == 7
 
+    def test_sbp4_defaults_to_its_own_integrator_and_cfl(self):
+        config = parse_args(["--experiment", "1", "--scheme", "sbp4"])
+        assert config.integrator == "rk4"
+        assert config.cfl == pytest.approx(0.9)
+
+    def test_explicit_flags_override_scheme_defaults(self):
+        config = parse_args(["--experiment", "1", "--scheme", "sbp4",
+                             "--integrator", "rk2", "--cfl", "0.45"])
+        assert config.integrator == "rk2"
+        assert config.cfl == pytest.approx(0.45)
+        config = parse_args(["--experiment", "1", "--scheme", "sbp2",
+                             "--integrator", "rk4", "--cfl", "0.9"])
+        assert config.integrator == "rk4"
+        assert config.cfl == pytest.approx(0.9)
+
     def test_missing_experiment_raises(self):
         with pytest.raises(SystemExit):
             parse_args([])
@@ -80,6 +95,13 @@ class TestParseArgs:
         config = parse_args(["--experiment", "1", "--scheme", "sbp4",
                              "--nx", "5", "--study"])
         assert config.study
+
+    def test_too_small_grid_exits_1_before_writing(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["--experiment", "1", "--scheme", "sbp4", "--nx", "12",
+                     "--ny", "7", "--out", str(out)]) == 1
+        assert "needs at least 8 points, got 7" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestSingleRun:
@@ -155,7 +177,7 @@ class TestSingleRun:
             code = main([
                 "--experiment", "3", "--scheme", "sbp4", "--nx", "100",
                 "--ny", "100", "--cfl", "1.0", "--tfinal", "8.0",
-                "--out", str(tmp_path),
+                "--integrator", "rk2", "--out", str(tmp_path),
             ])
         assert code == 2
         assert "instability" in capsys.readouterr().err
@@ -168,7 +190,7 @@ class TestSingleRun:
             code = main([
                 "--experiment", "3", "--scheme", "sbp4", "--nx", "60", "--ny", "60",
                 "--cfl", "0.8", "--tfinal", "20", "--dissipation", "none",
-                "--out", str(tmp_path),
+                "--integrator", "rk2", "--out", str(tmp_path),
             ])
         assert code == 2
         captured = capsys.readouterr()
@@ -231,7 +253,7 @@ class TestStudyRun:
             code = main([
                 "--experiment", "3", "--scheme", "sbp4", "--study",
                 "--dissipation", "none", "--cfl", "1.0", "--tfinal", "8.0",
-                "--out", str(tmp_path),
+                "--integrator", "rk2", "--out", str(tmp_path),
             ])
         assert code == 2
         assert "FAILED" in capsys.readouterr().out

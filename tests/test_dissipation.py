@@ -5,11 +5,9 @@ import pytest
 
 from inductionfd import Grid2D, apply_dx, apply_dy, build_dissipation, build_sbp
 from inductionfd.dissipation import (
-    FoldedDissipation1D,
     dense_dissipation,
     difference_matrix,
     difference_stencil,
-    fold_dissipation,
 )
 
 import dense_oracle
@@ -37,18 +35,15 @@ def test_difference_matrix_shape_and_rows():
     np.testing.assert_allclose(s @ np.arange(7.0), 0.0, atol=1e-13)
 
 
-@pytest.mark.parametrize(
-    "order, width, coef",
-    [(2, None, 0.5), (4, None, 1.0 / 12.0), (4, 3, 1.0 / 30.0)],
-)
-def test_interior_row(order, width, coef):
-    """Interior row is -alpha * c_p * (p-th difference squared)."""
+@pytest.mark.parametrize("order, coef", [(2, 0.5), (4, 1.0 / 12.0)])
+def test_interior_row(order, coef):
+    """Interior row is -alpha * c_p * (p-th difference squared), p = order/2."""
     alpha = 0.7
-    op = build_dissipation(order, "upwind", alpha, 20, width=width)
-    stencil = difference_stencil(op.width)
+    op = build_dissipation(order, "upwind", alpha, 20)
+    stencil = difference_stencil(order // 2)
     want = -alpha * coef * np.convolve(stencil, stencil[::-1])
     np.testing.assert_allclose(op.interior, want, rtol=1e-14)
-    assert len(op.interior) == 2 * op.width + 1
+    assert len(op.interior) == order + 1
 
 
 @pytest.mark.parametrize("order, width", [(2, 1), (4, 2)])
@@ -57,53 +52,52 @@ def test_matches_dense_oracle(order, width, scaling):
     """Banded tables agree with an independently assembled dense matrix."""
     n, h, alpha = 14, 0.05, 1.3
     op = build_dissipation(order, scaling, alpha, n)
-    assert op.width == width
+    assert len(op.interior) == 2 * width + 1
     got = dense_dissipation(op, h)
     want = dense_oracle.dense_dissipation(order, scaling, alpha, n, h)
     np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-16)
 
 
-@pytest.mark.parametrize("order, width", [(2, None), (4, None), (4, 3)])
+@pytest.mark.parametrize("order", [2, 4])
 @pytest.mark.parametrize("scaling", ["accurate", "upwind"])
-def test_negative_semidefinite(order, width, scaling):
+def test_negative_semidefinite(order, scaling):
     """P A must only remove energy: all eigenvalues of sym(P A) <= 0."""
     n, h = 16, 1.0 / 15.0
-    op = build_dissipation(order, scaling, 2.0, n, width=width)
+    op = build_dissipation(order, scaling, 2.0, n)
     a = dense_dissipation(op, h)
-    pa = np.diag(h * build_sbp(order, n).dense_p()) @ a
+    pa = np.diag(h * build_sbp(order, n).p) @ a
     np.testing.assert_allclose(pa, pa.T, atol=1e-14)
     eigs = np.linalg.eigvalsh(0.5 * (pa + pa.T))
     assert eigs.max() <= 1e-12
 
 
-@pytest.mark.parametrize("order, width", [(2, None), (4, None), (4, 3)])
-def test_annihilates_low_degree_polynomials(order, width):
-    """A kills polynomials of degree < width exactly (no spurious forcing)."""
+@pytest.mark.parametrize("order", [2, 4])
+def test_annihilates_low_degree_polynomials(order):
+    """A kills polynomials of degree < order/2 exactly (no spurious forcing)."""
     n = 18
-    op = build_dissipation(order, "upwind", 1.0, n, width=width)
+    op = build_dissipation(order, "upwind", 1.0, n)
     a = dense_dissipation(op, 0.1)
     x = np.linspace(-1.0, 1.0, n)
-    for k in range(op.width):
+    for k in range(order // 2):
         np.testing.assert_allclose(a @ x**k, 0.0, atol=1e-11)
 
 
 @pytest.mark.parametrize(
-    "order, width, scaling, expected_rate",
+    "order, scaling, expected_rate",
     [
-        (2, None, "accurate", 2.0),
-        (2, None, "upwind", 1.0),
-        (4, None, "accurate", 4.0),
-        (4, None, "upwind", 3.0),
-        (4, 3, "upwind", 5.0),
+        (2, "accurate", 2.0),
+        (2, "upwind", 1.0),
+        (4, "accurate", 4.0),
+        (4, "upwind", 3.0),
     ],
 )
-def test_consistency_order(order, width, scaling, expected_rate):
+def test_consistency_order(order, scaling, expected_rate):
     """Interior perturbation decays at the documented rate on smooth data."""
     errs = []
     for n in (41, 81):
         h = 1.0 / (n - 1)
         x = np.linspace(0.0, 1.0, n)
-        op = build_dissipation(order, scaling, 1.0, n, width=width)
+        op = build_dissipation(order, scaling, 1.0, n)
         a = dense_dissipation(op, h)
         rows = op.top.shape[0]
         errs.append(np.abs(a @ np.sin(2.0 * x))[rows:-rows].max())
@@ -118,7 +112,7 @@ def test_energy_identity():
     for order, coef in ((2, 0.5), (4, 1.0 / 12.0)):
         op = build_dissipation(order, "accurate", alpha, n)
         a = dense_dissipation(op, h)
-        p = np.diag(h * build_sbp(order, n).dense_p())
+        p = np.diag(h * build_sbp(order, n).p)
         w = rng.standard_normal(n)
         dw = difference_matrix(n, order // 2) @ w
         got = w @ p @ a @ w
@@ -151,7 +145,6 @@ def test_upwind_is_accurate_over_h():
         (dict(order=3, scaling="upwind", alpha=1.0, n=12), "unsupported order"),
         (dict(order=2, scaling="downwind", alpha=1.0, n=12), "unknown scaling"),
         (dict(order=2, scaling="upwind", alpha=-0.1, n=12), "nonnegative"),
-        (dict(order=4, scaling="upwind", alpha=1.0, n=12, width=4), "unsupported width"),
         (dict(order=2, scaling="upwind", alpha=1.0, n=2), "at least"),
         (dict(order=4, scaling="upwind", alpha=1.0, n=7), "at least"),
     ],
@@ -181,52 +174,20 @@ def test_apply_matches_dense():
         np.testing.assert_allclose(apply_dy(op_y, f, grid), f @ ay.T, atol=1e-13)
 
 
-@pytest.mark.parametrize("order", [2, 4])
-@pytest.mark.parametrize("width", [1, 2, 3])
-def test_closures_match_dense_construction(order, width):
+@pytest.mark.parametrize("width, order", [(1, 2), (2, 4)])
+def test_closures_match_dense_construction(width, order):
     """Closure blocks equal the corners of -alpha c_p P^{-1} S^T S built
-    from the full (n - p) x n difference matrix, for every legal n up to 40."""
-    alpha, coef = 0.7, {1: 0.5, 2: 1.0 / 12.0, 3: 1.0 / 30.0}[width]
-    rows = max(width, {2: 1, 4: 4}[order])
-    n_min = max({2: 3, 4: 8}[order], 2 * rows)
+    from the full (n - p) x n difference matrix, p = ``width`` = order/2,
+    for every legal n up to 40."""
+    alpha, coef = 0.7, {1: 0.5, 2: 1.0 / 12.0}[width]
+    rows, n_min = {2: (1, 3), 4: (4, 8)}[order]
     with pytest.raises(ValueError, match="at least"):
-        build_dissipation(order, "upwind", alpha, n_min - 1, width=width)
+        build_dissipation(order, "upwind", alpha, n_min - 1)
     for n in range(n_min, 41):
-        op = build_dissipation(order, "upwind", alpha, n, width=width)
+        op = build_dissipation(order, "upwind", alpha, n)
         s = difference_matrix(n, width)
         a = -(alpha * coef / build_sbp(order, n).p)[:, None] * (s.T @ s)
         assert op.top.shape == op.bot.shape == (rows, rows + width)
         cols = rows + width
         np.testing.assert_allclose(op.top, a[:rows, :cols], rtol=0, atol=1e-14)
         np.testing.assert_allclose(op.bot, a[n - rows:, n - cols:], rtol=0, atol=1e-14)
-
-
-@pytest.mark.parametrize(
-    "order, terms",
-    [
-        (2, [("upwind", 0.3, 1), ("accurate", 2.0, 3)]),
-        (4, [("upwind", 0.2, 3), ("accurate", 6.0, 2)]),
-        (4, [("upwind", 1.1, 2)]),
-    ],
-)
-def test_fold_matches_sum_of_terms(order, terms):
-    """The folded operator is the sum of its terms with h applied, and
-    stays P-negative-semidefinite."""
-    n, h = 17, 0.07
-    ops = [build_dissipation(order, s, a, n, width=w) for s, a, w in terms]
-    folded = fold_dissipation(ops, h)
-    assert folded.h_exponent == 0
-    with pytest.raises(TypeError):  # h is in the coefficients; no second scale
-        FoldedDissipation1D(folded.n, folded.top, folded.bot, folded.interior, h_exponent=-1)
-    want = sum(dense_dissipation(op, h) for op in ops)
-    got = dense_dissipation(folded, h)
-    np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.abs(want).max())
-    pa = np.diag(h * build_sbp(order, n).p) @ got
-    assert np.linalg.eigvalsh(0.5 * (pa + pa.T)).max() <= 1e-12
-
-
-def test_fold_edge_cases():
-    assert fold_dissipation((), 0.1) is None
-    with pytest.raises(ValueError, match="point count"):
-        fold_dissipation([build_dissipation(2, "upwind", 1.0, 10),
-                          build_dissipation(2, "upwind", 1.0, 11)], 0.1)

@@ -1,5 +1,7 @@
 """Tests for the benchmark problems and study harnesses."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -125,7 +127,10 @@ class TestSchemeRegistry:
         scheme = scheme_config(name)
         assert scheme.order == order
         assert scheme.dissipation == dissipation
-        assert scheme.cfl == 0.45 and scheme.integrator == "rk2"
+        if name == "sbp4":
+            assert scheme.cfl == 0.9 and scheme.integrator == "rk4"
+        else:
+            assert scheme.cfl == 0.45 and scheme.integrator == "rk2"
 
     def test_overrides(self):
         scheme = scheme_config("sbp2", cfl=0.3, theta=0.5)
@@ -142,13 +147,12 @@ class TestSchemeRegistry:
 
 
 class TestStudyVariants:
-    def test_plain_order4_gets_safety_damping(self):
+    def test_plain_order4_gets_accurate_dissipation(self):
         scheme = study_config("sbp4")
-        assert scheme.dissipation == "upwind"
-        assert scheme.diss_width == 3
-        assert scheme.alpha is not None and scheme.alpha > 0
-        ((scaling, alpha, width),) = scheme.extra_dissipation
-        assert scaling == "accurate" and width == 2 and alpha > 0
+        assert scheme == replace(scheme_config("sbp4"), dissipation="accurate")
+        setup = assemble(experiment2(), scheme, 12, 12)
+        assert setup.diss_x.scaling == setup.diss_y.scaling == "accurate"
+        assert setup.diss_x.alpha == pytest.approx(setup.coeffs.max_speed)
 
     @pytest.mark.parametrize("name", ["sbp1", "sbp2", "sbp3"])
     def test_other_schemes_unchanged(self, name):
@@ -168,45 +172,23 @@ class TestAssemble:
     def test_minimum_grid_enforced(self):
         with pytest.raises(ValueError, match="at least 3"):
             assemble(experiment1(), scheme_config("sbp2"), 2, 12)
-        with pytest.raises(ValueError, match="at least 9"):
-            assemble(experiment1(), scheme_config("sbp4"), 12, 8)
+        with pytest.raises(ValueError,
+                           match="order-4 operator needs at least 8 points, got 7"):
+            assemble(experiment1(), scheme_config("sbp4"), 12, 7)
+        # the smallest legal order-4 grid assembles, dissipation included
+        assert assemble(experiment1(), scheme_config("sbp3"), 8, 8).diss_x.n == 8
 
     def test_alpha_defaults_to_max_speed(self):
         setup = assemble(experiment3(), scheme_config("sbp1"), 12, 12)
-        (op,) = setup.diss_x
-        assert op.alpha == pytest.approx(3.0)  # |u1| + |u2| = 3
+        assert setup.diss_x.alpha == pytest.approx(3.0)  # |u1| + |u2| = 3
 
     def test_dissipation_override(self):
-        setup = assemble(experiment1(), scheme_config("sbp2"), 12, 12,
-                         dissipation="upwind")
-        (op,) = setup.diss_x
-        assert op.scaling == "upwind"
-        setup = assemble(experiment1(), scheme_config("sbp1"), 12, 12,
-                         dissipation="none")
-        assert setup.diss_x == ()
-
-    def test_extra_dissipation_terms_are_built(self):
-        scheme = scheme_config(
-            "sbp4", dissipation="upwind", alpha=0.2, diss_width=3,
-            extra_dissipation=(("accurate", 4.0, 2),),
-        )
-        setup = assemble(experiment1(), scheme, 16, 16)
-        assert [op.scaling for op in setup.diss_x] == ["upwind", "accurate"]
-        assert [op.width for op in setup.diss_y] == [3, 2]
-        assert setup.diss_x[1].alpha == pytest.approx(4.0)
-        # an explicit override replaces the whole package
-        setup = assemble(experiment1(), scheme, 16, 16, dissipation="accurate")
-        assert [op.scaling for op in setup.diss_x] == ["accurate"]
-        setup = assemble(experiment1(), scheme, 16, 16, dissipation="none")
-        assert setup.diss_x == ()
-
-    def test_extra_dissipation_validation(self):
-        with pytest.raises(ValueError, match="scaling"):
-            scheme_config("sbp4", extra_dissipation=(("downwind", 1.0, 2),))
-        with pytest.raises(ValueError, match="alpha"):
-            scheme_config("sbp4", extra_dissipation=(("accurate", -1.0, 2),))
-        with pytest.raises(ValueError, match="width"):
-            scheme_config("sbp4", extra_dissipation=(("accurate", 1.0, 0),))
+        setup = assemble(experiment1(), scheme_config("sbp2", dissipation="upwind"),
+                         12, 12)
+        assert setup.diss_x.scaling == setup.diss_y.scaling == "upwind"
+        setup = assemble(experiment1(), scheme_config("sbp1", dissipation="none"),
+                         12, 12)
+        assert setup.diss_x is None and setup.diss_y is None
 
     def test_boundary_mode_follows_spec(self):
         assert assemble(experiment1(), scheme_config("sbp2"), 12, 12).bdata.mode == "zero"
@@ -228,7 +210,7 @@ class TestRunHarnesses:
 
     def test_unstable_run_becomes_failed_row(self):
         """An instability mid-study is recorded and the study continues."""
-        scheme = scheme_config("sbp4", cfl=1.0)
+        scheme = scheme_config("sbp4", cfl=1.0, integrator="rk2")
         with np.errstate(over="ignore"):
             results = run_convergence_study(
                 experiment3(), [scheme], grids=(10, 100), t_final=8.0
@@ -254,7 +236,7 @@ class TestRunHarnesses:
         """Without dissipation at CFL 0.8 the order-4 scheme ends the run with
         finite values whose error and P-energy overflow at 40^2: run_single
         reports that as an instability, so the study records a failed row."""
-        scheme = scheme_config("sbp4", cfl=0.8, dissipation="none")
+        scheme = scheme_config("sbp4", cfl=0.8, dissipation="none", integrator="rk2")
         with np.errstate(over="ignore"):
             with pytest.raises(InstabilityError, match="inf") as excinfo:
                 run_single(assemble(experiment3(), scheme, 40, 40), t_final=20.0)

@@ -7,8 +7,9 @@ from inductionfd import (
     BoundaryData,
     Grid2D,
     MagneticField,
+    apply_dx,
+    apply_dy,
     assemble,
-    boundary_trace,
     build_dissipation,
     build_sbp,
     compute_rhs,
@@ -22,7 +23,7 @@ from inductionfd import (
 )
 from inductionfd import induction
 
-from dense_oracle import dense_dissipation, dense_rhs_matrix
+from dense_oracle import dense_rhs_matrix
 
 
 def _setup(grid, order, theta=1.0, velocity=None, alpha=None, scaling="upwind"):
@@ -118,12 +119,13 @@ class TestSatConfig:
         op = build_sbp(2, 9)
         coeffs = sample_velocity(lambda x, y: (-y, x), grid, op, op)
         sat = make_sat_config(coeffs, grid, op, op)
+        w = grid.dx * op.p[0]  # boundary norm weight, equal on all four sides
         # at x = xmin the inward speed is u1 = -y: inflow where y < 0
-        np.testing.assert_array_equal(sat.sigma_xmin, -np.maximum(-grid.y, 0.0))
+        np.testing.assert_array_equal(sat.coef_xmin, -np.maximum(-grid.y, 0.0) / w)
         # at x = xmax the inward speed is -u1 = y: inflow where y > 0
-        np.testing.assert_array_equal(sat.sigma_xmax, -np.maximum(grid.y, 0.0))
-        np.testing.assert_array_equal(sat.sigma_ymin, -np.maximum(grid.x, 0.0))
-        np.testing.assert_array_equal(sat.sigma_ymax, -np.maximum(-grid.x, 0.0))
+        np.testing.assert_array_equal(sat.coef_xmax, -np.maximum(grid.y, 0.0) / w)
+        np.testing.assert_array_equal(sat.coef_ymin, -np.maximum(grid.x, 0.0) / w)
+        np.testing.assert_array_equal(sat.coef_ymax, -np.maximum(-grid.x, 0.0) / w)
 
     def test_coef_divides_boundary_norm_weight(self):
         grid = Grid2D(0.0, 1.0, 0.0, 1.0, 12, 12)
@@ -140,46 +142,22 @@ class TestBoundaryTrace:
     def test_zero_mode(self):
         grid = Grid2D(0.0, 1.0, 0.0, 1.0, 5, 8)
         bdata = BoundaryData.zero(grid)
-        g1, g2 = boundary_trace(bdata, "xmin", 0.3)
-        assert g1.shape == (8,) and not g1.any() and not g2.any()
-        g1, _ = boundary_trace(bdata, "ymax", 0.3)
-        assert g1.shape == (5,)
+        assert bdata.all_sides(0.3) is None
+        sizes = {side: part.stop - part.start for side, part in bdata.bounds.items()}
+        assert sizes == {"xmin": 8, "xmax": 8, "ymin": 5, "ymax": 5}
 
     def test_exact_mode_samples_side_coordinates(self):
         grid = Grid2D(0.0, 2.0, -1.0, 1.0, 6, 5)
         bdata = BoundaryData.from_exact(grid, lambda x, y, t: (x + 10.0 * y + t, y))
-        g1, g2 = boundary_trace(bdata, "xmax", 0.5)
-        np.testing.assert_allclose(g1, 2.0 + 10.0 * grid.y + 0.5)
-        np.testing.assert_allclose(g2, grid.y)
-        g1, g2 = boundary_trace(bdata, "ymin", 0.0)
-        np.testing.assert_allclose(g1, grid.x - 10.0)
-        np.testing.assert_allclose(g2, -1.0)
-
-    def test_table_mode_interpolates_linearly(self):
-        grid = Grid2D(0.0, 1.0, 0.0, 1.0, 3, 4)
-        times = np.array([0.0, 1.0, 3.0])
-        table = {
-            side: (times, np.outer([0.0, 2.0, 4.0], np.ones(m)),
-                   np.outer([1.0, 1.0, -3.0], np.ones(m)))
-            for side, m in (("xmin", 4), ("xmax", 4), ("ymin", 3), ("ymax", 3))
-        }
-        bdata = BoundaryData.from_table(grid, table)
-        g1, g2 = boundary_trace(bdata, "xmin", 0.5)
-        np.testing.assert_allclose(g1, 1.0)
-        np.testing.assert_allclose(g2, 1.0)
-        g1, g2 = boundary_trace(bdata, "ymax", 2.0)
-        np.testing.assert_allclose(g1, 3.0)
-        np.testing.assert_allclose(g2, -1.0)
-        # knots themselves are reproduced exactly
-        g1, _ = boundary_trace(bdata, "xmax", 3.0)
-        np.testing.assert_allclose(g1, 4.0)
-        with pytest.raises(ValueError, match="outside tabulated range"):
-            boundary_trace(bdata, "xmin", 3.5)
-
-    def test_unknown_side_rejected(self):
-        bdata = BoundaryData.zero(Grid2D(0.0, 1.0, 0.0, 1.0, 4, 4))
-        with pytest.raises(ValueError, match="unknown side"):
-            boundary_trace(bdata, "north", 0.0)
+        g = bdata.all_sides(0.5)
+        assert g.shape == (2, 2 * 5 + 2 * 6)
+        part = bdata.bounds["xmax"]
+        np.testing.assert_allclose(g[0, part], 2.0 + 10.0 * grid.y + 0.5)
+        np.testing.assert_allclose(g[1, part], grid.y)
+        part = bdata.bounds["ymin"]
+        g = bdata.all_sides(0.0)
+        np.testing.assert_allclose(g[0, part], grid.x - 10.0)
+        np.testing.assert_allclose(g[1, part], -1.0)
 
     def test_mode_validation(self):
         grid = Grid2D(0.0, 1.0, 0.0, 1.0, 4, 4)
@@ -187,7 +165,7 @@ class TestBoundaryTrace:
             BoundaryData(grid, "periodic")
         with pytest.raises(ValueError, match="callable"):
             BoundaryData(grid, "exact")
-        with pytest.raises(ValueError, match="table"):
+        with pytest.raises(ValueError, match="unknown boundary mode"):
             BoundaryData(grid, "table")
 
 
@@ -326,13 +304,13 @@ class TestConsistency:
 
 
 def _per_term_rhs(setup, v, t):
-    """The RHS with every dissipation term applied on its own."""
-    return compute_rhs(v, t, setup.grid, setup.coeffs, setup.bdata, setup.sat,
-                       setup.op_x, setup.op_y, setup.diss_x, setup.diss_y)
-
-
-def _no_trace(*args, **kwargs):
-    raise AssertionError("boundary_trace called from the RHS")
+    """The RHS without dissipation plus each axis's dissipation applied alone."""
+    grid = setup.grid
+    rhs = compute_rhs(v, t, grid, setup.coeffs, setup.bdata, setup.sat,
+                      setup.op_x, setup.op_y)
+    if setup.diss_x is not None:
+        rhs += apply_dx(setup.diss_x, v, grid) + apply_dy(setup.diss_y, v, grid)
+    return rhs
 
 
 _SCHEMES = [scheme_config(name) for name in ("sbp1", "sbp2", "sbp3", "sbp4")]
@@ -340,8 +318,8 @@ _SCHEMES.append(study_config("sbp4"))
 
 
 class TestFusedRhs:
-    """RunSetup.rhs applies one folded dissipation operator per axis to the
-    stacked state; it must agree with the per-term sum and the dense oracle."""
+    """RunSetup.rhs applies one dissipation operator per axis to the stacked
+    state; it must agree with the term-by-term sum and the dense oracle."""
 
     @pytest.mark.parametrize("scheme", _SCHEMES,
                              ids=["sbp1", "sbp2", "sbp3", "sbp4", "sbp4-study"])
@@ -352,17 +330,8 @@ class TestFusedRhs:
         setup = assemble(experiment1(), scheme, npx, npy)
         grid = setup.grid
         matrix = dense_rhs_matrix(grid, scheme.order, setup.spec.velocity,
-                                  theta=scheme.theta)
-        eye_x, eye_y = np.eye(npx), np.eye(npy)
-        for term_x, term_y in zip(setup.diss_x, setup.diss_y):
-            spread = np.kron(
-                dense_dissipation(scheme.order, term_x.scaling, term_x.alpha, npx,
-                                  grid.dx, width=term_x.width), eye_y,
-            ) + np.kron(
-                eye_x, dense_dissipation(scheme.order, term_y.scaling, term_y.alpha,
-                                         npy, grid.dy, width=term_y.width),
-            )
-            matrix += np.kron(np.eye(2), spread)
+                                  theta=scheme.theta, dissipation=scheme.dissipation,
+                                  alpha=setup.coeffs.max_speed)
         for _ in range(5):
             v = rng.standard_normal((2, npx, npy))
             fused = setup.rhs(0.0, v)
@@ -377,7 +346,7 @@ class TestFusedRhs:
         np.testing.assert_allclose(setup.rhs(0.4, v), want, rtol=0,
                                    atol=1e-13 * np.abs(want).max())
 
-    def test_exact_data_sampled_once_per_rhs(self, monkeypatch):
+    def test_exact_data_sampled_once_per_rhs(self):
         grid = Grid2D(0.0, 1.0, -1.0, 2.0, 9, 12)
         op_x, op_y, coeffs, sat, dx, dy = _setup(
             grid, 4, velocity=lambda x, y: (-y, x), alpha=0.5
@@ -389,10 +358,12 @@ class TestFusedRhs:
             return np.sin(x + 2.0 * y + t), np.cos(x - y)
 
         bdata = BoundaryData.from_exact(grid, exact)
-        # the per-side traces, taken before boundary_trace is disabled
-        traces = [boundary_trace(bdata, side, 0.3) for side in induction.SIDES]
+        # the per-side reference data, sampled before counting calls
+        traces = []
+        for side in induction.SIDES:
+            part = bdata.bounds[side]
+            traces.append(exact(bdata.side_x[part], bdata.side_y[part], 0.3))
         calls.clear()
-        monkeypatch.setattr(induction, "boundary_trace", _no_trace)
         v = np.random.default_rng(3).standard_normal((2, 9, 12))
         got = compute_rhs(v, 0.3, grid, coeffs, bdata, sat, op_x, op_y, dx, dy)
         assert calls == [0.3]
@@ -406,31 +377,11 @@ class TestFusedRhs:
             want[edge] -= coef * np.stack([g1, g2])
         np.testing.assert_allclose(got - zero, want, rtol=0, atol=1e-12)
 
-    def test_zero_data_evaluates_nothing(self, monkeypatch):
+    def test_zero_data_evaluates_nothing(self):
         grid = Grid2D(0.0, 1.0, 0.0, 1.0, 8, 10)
         op_x, op_y, coeffs, sat, _, _ = _setup(grid, 2)
         bdata = BoundaryData.zero(grid)
-        monkeypatch.setattr(induction, "boundary_trace", _no_trace)
-        assert bdata.all_sides(0.5) is None
+        assert bdata.exact is None and bdata.all_sides(0.5) is None
         v = np.random.default_rng(8).standard_normal((2, 8, 10))
         rhs = compute_rhs(v, 0.5, grid, coeffs, bdata, sat, op_x, op_y)
         assert np.isfinite(rhs).all()
-
-    def test_table_data_matches_exact_data(self):
-        """Table mode goes through boundary_trace side by side and must
-        place each side's data where exact mode does."""
-        grid = Grid2D(0.0, 1.0, 0.0, 1.0, 7, 9)
-        op_x, op_y, coeffs, sat, _, _ = _setup(grid, 2, velocity=lambda x, y: (-y, x))
-        exact = BoundaryData.from_exact(grid, lambda x, y, t: (x + 3.0 * y, x * y))
-        times = np.array([0.0, 1.0])
-        table = {}
-        for side in induction.SIDES:
-            g1, g2 = boundary_trace(exact, side, 0.0)
-            table[side] = (times, np.stack([g1, g1]), np.stack([g2, g2]))
-        tabled = BoundaryData.from_table(grid, table)
-        v = np.random.default_rng(4).standard_normal((2, 7, 9))
-        args = (grid, coeffs)
-        np.testing.assert_array_equal(
-            compute_rhs(v, 0.5, *args, tabled, sat, op_x, op_y),
-            compute_rhs(v, 0.5, *args, exact, sat, op_x, op_y),
-        )

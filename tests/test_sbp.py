@@ -11,7 +11,7 @@ from inductionfd import (
     build_sbp,
     verify_sbp,
 )
-from inductionfd.sbp import EXACT_DEGREE, write_operator_csv
+from inductionfd.sbp import EXACT_DEGREE
 
 from dense_oracle import dense_d, dense_p, dense_q
 
@@ -79,7 +79,7 @@ def test_dense_matches_oracle(order, n):
     """Package coefficient tables equal the independently written ones."""
     op = build_sbp(order, n)
     h = 0.37
-    np.testing.assert_allclose(np.diag(h * op.dense_p()), dense_p(order, n, h),
+    np.testing.assert_allclose(np.diag(h * op.p), dense_p(order, n, h),
                                atol=1e-15)
     np.testing.assert_allclose(op.dense_q(), dense_q(order, n), atol=1e-15)
     np.testing.assert_allclose(op.dense_d(h), dense_d(order, n, h), atol=1e-12)
@@ -143,15 +143,6 @@ def test_verify_sbp_flags_perturbation():
     assert verify_sbp(perturbed).qqt_residual > 1e-4
 
 
-def test_write_operator_csv(tmp_path):
-    op = build_sbp(2, 9)
-    path = tmp_path / "op.csv"
-    write_operator_csv(op, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "row,col,value"
-    assert len(lines) == 1 + np.count_nonzero(op.dense_q())
-
-
 class TestGrid:
     def test_spacing_and_shape(self):
         grid = Grid2D(-1.0, 1.0, 0.0, 1.0, 41, 21)
@@ -183,7 +174,7 @@ def test_stacked_apply_matches_per_field(order):
     cases = (
         (apply_dx, build_sbp(order, grid.npx)),
         (apply_dy, build_sbp(order, grid.npy)),
-        (apply_dx, build_dissipation(order, "upwind", 0.8, grid.npx, width=3)),
+        (apply_dx, build_dissipation(order, "upwind", 0.8, grid.npx)),
         (apply_dy, build_dissipation(order, "accurate", 2.5, grid.npy)),
     )
     for apply, op in cases:
