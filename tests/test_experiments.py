@@ -147,7 +147,8 @@ class TestSchemeRegistry:
 
 
 class TestStudyVariants:
-    def test_plain_order4_gets_accurate_dissipation(self):
+    def test_plain_order4_gets_safety_damping(self):
+        """The study variant damps sbp4 with one accurate-scaled term."""
         scheme = study_config("sbp4")
         assert scheme == replace(scheme_config("sbp4"), dissipation="accurate")
         setup = assemble(experiment2(), scheme, 12, 12)
