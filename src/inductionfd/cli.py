@@ -9,17 +9,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .diagnostics import (
-    ErrorRecord,
-    convergence_rate,
-    discrete_divergence,
-    l2_norm,
-    p_energy,
-    rel_percent_error,
-)
+from .diagnostics import ErrorRecord, convergence_rate, discrete_divergence
 from .experiments import (
     DISSIPATION_MODES,
     SCHEMES,
+    SchemeConfig,
     assemble,
     get_experiment,
     run_convergence_study,
@@ -206,18 +200,23 @@ def _make_out_dir(out: Path) -> bool:
     return True
 
 
-def _run_study(config: RunConfig) -> int:
-    # Studies reproduce the reference tables: exact boundary trace for the
-    # large-domain hump and accurate dissipation for the plain order-4
-    # scheme (see experiments.study_config).
-    spec = study_spec(get_experiment(config.experiment))
-    scheme = replace(
-        study_config(config.scheme),
+def _scheme(config: RunConfig) -> SchemeConfig:
+    """The scheme with the CLI's theta, cfl, integrator and dissipation; a
+    study starts from its study variant (experiments.study_config)."""
+    base = study_config(config.scheme) if config.study else scheme_config(config.scheme)
+    return replace(
+        base,
         theta=config.theta,
         cfl=config.cfl,
         integrator=config.integrator,
         **({"dissipation": config.dissipation} if config.dissipation else {}),
     )
+
+
+def _run_study(config: RunConfig) -> int:
+    # the large-domain hump is studied with its exact boundary trace
+    spec = study_spec(get_experiment(config.experiment))
+    scheme = _scheme(config)
     out = config.out
     if not _make_out_dir(out):
         return 1
@@ -234,13 +233,7 @@ def _run_study(config: RunConfig) -> int:
 
 def _run_once(config: RunConfig) -> int:
     spec = get_experiment(config.experiment)
-    scheme = scheme_config(
-        config.scheme,
-        theta=config.theta,
-        cfl=config.cfl,
-        integrator=config.integrator,
-        **({"dissipation": config.dissipation} if config.dissipation else {}),
-    )
+    scheme = _scheme(config)
     try:
         setup = assemble(spec, scheme, config.nx, config.ny)
     except ValueError as exc:
@@ -266,7 +259,7 @@ def _run_once(config: RunConfig) -> int:
 
     hook = dump_hook if config.dump_every > 0 else None
     try:
-        field, _ = run_single(
+        field, record = run_single(
             setup, t_final=t_final, hook=hook,
             hook_every=config.dump_every if config.dump_every > 0 else 1,
         )
@@ -276,18 +269,10 @@ def _run_once(config: RunConfig) -> int:
 
     div = discrete_divergence(field.data, setup.grid, setup.op_x, setup.op_y)
     write_field_dump(field, div, out / "fields_final.csv", meta)
-    err = rel_percent_error(field.data, spec.exact, t_final, setup.grid)
-    rec = ErrorRecord(
-        grid_label=f"{config.nx}x{config.ny}",
-        error_percent=err,
-        div_l2=l2_norm(div, setup.grid),
-        energy=p_energy(field.data, setup.grid, setup.op_x, setup.op_y),
-        time=t_final,
-    )
-    write_error_table([rec], out / "error_table.csv")
+    write_error_table([record], out / "error_table.csv")
     print(
         f"experiment {config.experiment} {scheme.name} {config.nx}x{config.ny} "
-        f"t={t_final:.6g}: error {err:.6g}%, div l2 {rec.div_l2:.6g}"
+        f"t={t_final:.6g}: error {record.error_percent:.6g}%, div l2 {record.div_l2:.6g}"
     )
     return 0
 

@@ -293,25 +293,28 @@ def run_single(
     t_final: float | None = None,
     hook: Callable | None = None,
     hook_every: int = 1,
-) -> tuple[MagneticField, list]:
-    """Integrate one assembled run to ``t_final`` (default: the spec's).
+    t0: float = 0.0,
+) -> tuple[MagneticField, ErrorRecord]:
+    """Integrate ``setup.v0`` from ``t0`` to ``t_final`` (default: the spec's).
 
-    A run whose final error or P-energy is not finite has blown up even if
-    every state stayed finite, so it raises InstabilityError as a
-    non-finite state does.
+    Returns the final field and its record: relative error, divergence l2
+    and P-energy at ``t_final``.  A run whose final error or P-energy is
+    not finite has blown up even if every state stayed finite, so it
+    raises InstabilityError as a non-finite state does.
     """
     config = IntegratorConfig(
         t_final=setup.spec.t_final if t_final is None else t_final,
         method=setup.scheme.integrator,
         cfl=setup.scheme.cfl,
     )
-    v, records = integrate(
-        setup.v0.data, config, setup.rhs,
-        grid=setup.grid, coeffs=setup.coeffs, hook=hook, hook_every=hook_every,
+    grid = setup.grid
+    v, _ = integrate(
+        setup.v0.data, config, setup.rhs, t0=t0,
+        grid=grid, coeffs=setup.coeffs, hook=hook, hook_every=hook_every,
     )
     with np.errstate(over="ignore"):
-        err = rel_percent_error(v, setup.spec.exact, config.t_final, setup.grid)
-        energy = p_energy(v, setup.grid, setup.op_x, setup.op_y)
+        err = rel_percent_error(v, setup.spec.exact, config.t_final, grid)
+        energy = p_energy(v, grid, setup.op_x, setup.op_y)
     if not (np.isfinite(err) and np.isfinite(energy)):
         raise InstabilityError(
             f"run ended with error {err:.6g}% and P-energy {energy:.6g} at "
@@ -319,19 +322,14 @@ def run_single(
             time=config.t_final,
             last_state=v,
         )
-    return MagneticField(setup.grid, v), records
-
-
-def _measure(setup: RunSetup, v: np.ndarray, t: float) -> ErrorRecord:
-    grid = setup.grid
-    div = discrete_divergence(v, grid, setup.op_x, setup.op_y)
-    return ErrorRecord(
+    record = ErrorRecord(
         grid_label=f"{grid.npx}x{grid.npy}",
-        error_percent=rel_percent_error(v, setup.spec.exact, t, grid),
-        div_l2=l2_norm(div, grid),
-        energy=p_energy(v, grid, setup.op_x, setup.op_y),
-        time=t,
+        error_percent=err,
+        div_l2=l2_norm(discrete_divergence(v, grid, setup.op_x, setup.op_y), grid),
+        energy=energy,
+        time=config.t_final,
     )
+    return MagneticField(grid, v), record
 
 
 def run_convergence_study(
@@ -353,7 +351,7 @@ def run_convergence_study(
         for n in grids:
             setup = assemble(spec, scheme, n, n)
             try:
-                field, _ = run_single(setup, t_final=t_end)
+                _, record = run_single(setup, t_final=t_end)
             except InstabilityError as exc:
                 records.append(
                     ErrorRecord(
@@ -366,7 +364,7 @@ def run_convergence_study(
                     )
                 )
                 continue
-            records.append(_measure(setup, field.data, t_end))
+            records.append(record)
         results[scheme.name] = records
     return results
 
@@ -381,23 +379,19 @@ def run_long_time(
     """Integrate full rotations (period 2*pi) and measure after each one.
 
     Returns one record per completed rotation, starting with the exact
-    initial state at t = 0.
+    initial state at t = 0.  Each rotation is one ``run_single`` from the
+    previous rotation's field, so a blow-up raises InstabilityError with
+    the time counted from t = 0.
     """
     if rotations < 0:
         raise ValueError(f"rotations must be nonnegative, got {rotations}")
     setup = assemble(spec, scheme, npx, npy)
     period = 2.0 * np.pi
-    records = [_measure(setup, setup.v0.data, 0.0)]
-    v = setup.v0.data
+    field, record = run_single(setup, t_final=0.0)
+    records = [record]
     for k in range(1, rotations + 1):
-        offset = (k - 1) * period
-
-        def shifted_rhs(t, state, _offset=offset):
-            return setup.rhs(_offset + t, state)
-
-        config = IntegratorConfig(
-            t_final=period, method=scheme.integrator, cfl=scheme.cfl
+        field, record = run_single(
+            replace(setup, v0=field), t0=(k - 1) * period, t_final=k * period
         )
-        v, _ = integrate(v, config, shifted_rhs, grid=setup.grid, coeffs=setup.coeffs)
-        records.append(_measure(setup, v, k * period))
+        records.append(record)
     return records

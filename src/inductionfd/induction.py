@@ -59,26 +59,9 @@ class MagneticField:
             raise ValueError("field data contains non-finite values")
         object.__setattr__(self, "data", data)
 
-    @property
-    def v1(self) -> np.ndarray:
-        return self.data[0]
-
-    @property
-    def v2(self) -> np.ndarray:
-        return self.data[1]
-
-    @property
-    def vector(self) -> np.ndarray:
-        """Flat view of length 2*npx*npy in the shared ordering."""
-        return self.data.reshape(-1)
-
     def magnitude(self) -> np.ndarray:
         """Pointwise |B| = sqrt(B1^2 + B2^2), shape (npx, npy)."""
         return np.hypot(self.data[0], self.data[1])
-
-    @classmethod
-    def from_vector(cls, grid: Grid2D, vec: np.ndarray) -> "MagneticField":
-        return cls(grid, np.asarray(vec, dtype=float).reshape(2, grid.npx, grid.npy))
 
     @classmethod
     def sample(cls, grid: Grid2D, fn: Callable) -> "MagneticField":
@@ -101,14 +84,12 @@ class VelocityCoeffs:
     are read-only.
     """
 
-    grid: Grid2D
     lam_x: np.ndarray
     lam_y: np.ndarray
     du1dx: np.ndarray
     du1dy: np.ndarray
     du2dx: np.ndarray
     du2dy: np.ndarray
-    velocity: Callable | None = None
 
     @property
     def max_speed(self) -> float:
@@ -139,14 +120,12 @@ def sample_velocity(
     u1 = np.ascontiguousarray(u1)
     u2 = np.ascontiguousarray(u2)
     coeffs = VelocityCoeffs(
-        grid=grid,
         lam_x=u1,
         lam_y=u2,
         du1dx=apply_dx(op_x, u1, grid),
         du1dy=apply_dy(op_y, u1, grid),
         du2dx=apply_dx(op_x, u2, grid),
         du2dy=apply_dy(op_y, u2, grid),
-        velocity=velocity,
     )
     for a in (coeffs.lam_x, coeffs.lam_y, coeffs.du1dx, coeffs.du1dy, coeffs.du2dx, coeffs.du2dy):
         a.setflags(write=False)
@@ -174,7 +153,6 @@ class SatConfig:
     Corner nodes receive the contributions of both adjacent sides.
     """
 
-    theta: float
     coef_xmin: np.ndarray
     coef_xmax: np.ndarray
     coef_ymin: np.ndarray
@@ -200,7 +178,6 @@ def make_sat_config(
     p0y = grid.dy * op_y.p[0]
     pny = grid.dy * op_y.p[-1]
     return SatConfig(
-        theta=theta,
         coef_xmin=sig["xmin"] / p0x,
         coef_xmax=sig["xmax"] / pnx,
         coef_ymin=sig["ymin"] / p0y,

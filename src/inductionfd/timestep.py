@@ -14,7 +14,8 @@ METHODS = ("rk2", "rk4")
 
 
 class InstabilityError(RuntimeError):
-    """Raised when the state stops being finite during integration."""
+    """Raised when a run blows up: its state stops being finite during
+    integration, or its final error or P-energy is not finite."""
 
     def __init__(self, message: str, step: int | None = None, time: float | None = None,
                  last_state: np.ndarray | None = None):
@@ -64,10 +65,7 @@ def rk2_step(v: np.ndarray, t: float, dt: float, rhs: Callable) -> np.ndarray:
     """One step of Heun's method (explicit trapezoid); stages at t and t + dt."""
     k1 = rhs(t, v)
     k2 = rhs(t + dt, v + dt * k1)
-    out = v + (0.5 * dt) * (k1 + k2)
-    if not np.isfinite(out).all():
-        raise InstabilityError(f"non-finite state after rk2 step at t={t!r}", time=t)
-    return out
+    return v + (0.5 * dt) * (k1 + k2)
 
 
 def rk4_step(v: np.ndarray, t: float, dt: float, rhs: Callable) -> np.ndarray:
@@ -76,10 +74,7 @@ def rk4_step(v: np.ndarray, t: float, dt: float, rhs: Callable) -> np.ndarray:
     k2 = rhs(t + 0.5 * dt, v + (0.5 * dt) * k1)
     k3 = rhs(t + 0.5 * dt, v + (0.5 * dt) * k2)
     k4 = rhs(t + dt, v + dt * k3)
-    out = v + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    if not np.isfinite(out).all():
-        raise InstabilityError(f"non-finite state after rk4 step at t={t!r}", time=t)
-    return out
+    return v + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 _STEPPERS = {"rk2": rk2_step, "rk4": rk4_step}
@@ -90,25 +85,29 @@ def integrate(
     config: IntegratorConfig,
     rhs: Callable,
     *,
+    t0: float = 0.0,
     grid: Grid2D | None = None,
     coeffs: VelocityCoeffs | None = None,
     hook: Callable | None = None,
     hook_every: int = 1,
 ) -> tuple[np.ndarray, list]:
-    """Advance ``v0`` to ``config.t_final`` and return (final state, hook records).
+    """Advance ``v0`` from ``t0`` to ``config.t_final``; return (final state, hook records).
 
     The step size is ``config.fixed_dt`` if given, otherwise the CFL step
-    computed from ``grid`` and ``coeffs``.  ``hook(step, t, v)`` is invoked
-    at t = 0, every ``hook_every`` accepted steps, and at the final time;
-    its return values are collected.  A non-finite state, after a step or
-    inside one of its stages, aborts with an InstabilityError carrying the
-    step index, its start time and the last finite state.
+    computed from ``grid`` and ``coeffs``; step k starts at t0 + k*dt.
+    ``hook(step, t, v)`` is invoked at t0, every ``hook_every`` accepted
+    steps, and at the final time; its return values are collected.  A
+    non-finite state, after a step or inside one of its stages, aborts with
+    an InstabilityError carrying the step index, its start time and the
+    last finite state.
     """
+    if config.t_final < t0:
+        raise ValueError(f"t_final {config.t_final} lies before the start time {t0}")
     records: list = []
     v = np.array(v0, dtype=float, copy=True)
     if hook is not None:
-        records.append(hook(0, 0.0, v))
-    if config.t_final == 0.0:
+        records.append(hook(0, t0, v))
+    if config.t_final == t0:
         return v, records
 
     if config.fixed_dt is not None:
@@ -119,21 +118,21 @@ def integrate(
         dt_base = compute_dt(grid, coeffs, config.cfl)
     stepper = _STEPPERS[config.method]
 
-    n_steps = max(1, int(np.ceil(config.t_final / dt_base - 1e-12)))
+    n_steps = max(1, int(np.ceil((config.t_final - t0) / dt_base - 1e-12)))
     for k in range(n_steps):
-        t = k * dt_base
-        dt = dt_base if k < n_steps - 1 else config.t_final - t
+        t = t0 + k * dt_base
+        last = k == n_steps - 1
+        dt = config.t_final - t if last else dt_base
         try:
             v_new = stepper(v, t, dt, rhs)
-        except (InstabilityError, NonFiniteStateError) as exc:
-            raise InstabilityError(
-                f"integration went unstable at step {k + 1} (t={t!r})",
-                step=k + 1,
-                time=t,
-                last_state=v,
-            ) from exc
+            finite = np.isfinite(v_new).all()
+        except NonFiniteStateError:  # a stage overflowed inside compute_rhs
+            finite = False
+        if not finite:
+            raise InstabilityError(f"integration went unstable at step {k + 1} (t={t!r})",
+                                   step=k + 1, time=t, last_state=v)
         v = v_new
-        t_next = config.t_final if k == n_steps - 1 else (k + 1) * dt_base
-        if hook is not None and ((k + 1) % hook_every == 0 or k == n_steps - 1):
+        if hook is not None and ((k + 1) % hook_every == 0 or last):
+            t_next = config.t_final if last else t0 + (k + 1) * dt_base
             records.append(hook(k + 1, t_next, v))
     return v, records

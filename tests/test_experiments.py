@@ -205,9 +205,13 @@ class TestAssemble:
 class TestRunHarnesses:
     def test_short_run_record_fields(self):
         setup = assemble(experiment1(), scheme_config("sbp2"), 12, 12)
-        field, _ = run_single(setup, t_final=0.1)
+        field, record = run_single(setup, t_final=0.1)
         assert field.data.shape == (2, 12, 12)
         assert np.isfinite(field.data).all()
+        assert record.grid_label == "12x12" and record.time == 0.1
+        assert not record.failed
+        assert np.isfinite([record.error_percent, record.div_l2, record.energy]).all()
+        assert record.error_percent > 0.0 and record.energy > 0.0
 
     def test_unstable_run_becomes_failed_row(self):
         """An instability mid-study is recorded and the study continues."""
@@ -258,6 +262,26 @@ class TestRunHarnesses:
         )
         assert records[0].error_percent == 0.0
         assert records[1].error_percent > 0.0
+
+    def test_long_time_blow_up_raises_at_absolute_time(self):
+        """Without dissipation at CFL 0.8 under rk2 the order-4 scheme blows up
+        in the second rotation: its error overflows at t = 4 pi, and every
+        rotation is one run_single, so the long-time run raises there."""
+        scheme = scheme_config("sbp4", cfl=0.8, dissipation="none", integrator="rk2")
+        with np.errstate(over="ignore"), pytest.raises(InstabilityError) as excinfo:
+            run_long_time(experiment3(), scheme, 60, 60, 3)
+        err = excinfo.value
+        assert err.time == 4.0 * np.pi
+        assert np.isfinite(err.last_state).all()
+
+    def test_later_start_reports_absolute_time(self):
+        """A run started at t0 reports a stage overflow at its absolute time."""
+        setup = assemble(experiment3(), scheme_config("sbp1", cfl=1.0), 10, 10)
+        t0 = 4.0 * np.pi
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(InstabilityError) as excinfo:
+            run_single(setup, t0=t0, t_final=t0 + 50.0)
+        assert t0 < excinfo.value.time < t0 + 50.0
 
     def test_negative_rotations_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):

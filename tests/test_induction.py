@@ -46,16 +46,9 @@ class TestMagneticField:
         grid = Grid2D(0.0, 1.0, 0.0, 2.0, 5, 7)
         field = MagneticField.sample(grid, lambda x, y: (x + y, x - y))
         xx, yy = grid.meshgrid()
-        np.testing.assert_allclose(field.v1, xx + yy)
-        np.testing.assert_allclose(field.v2, xx - yy)
+        np.testing.assert_allclose(field.data[0], xx + yy)
+        np.testing.assert_allclose(field.data[1], xx - yy)
         np.testing.assert_allclose(field.magnitude(), np.hypot(xx + yy, xx - yy))
-
-    def test_vector_roundtrip(self):
-        grid = Grid2D(0.0, 1.0, 0.0, 1.0, 4, 3)
-        rng = np.random.default_rng(3)
-        field = MagneticField(grid, rng.standard_normal((2, 4, 3)))
-        back = MagneticField.from_vector(grid, field.vector)
-        np.testing.assert_array_equal(back.data, field.data)
 
     def test_shape_validation(self):
         grid = Grid2D(0.0, 1.0, 0.0, 1.0, 4, 3)
