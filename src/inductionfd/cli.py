@@ -250,12 +250,11 @@ def _run_once(config: RunConfig) -> int:
         "t": _fmt(t_final),
     }
 
-    def dump_hook(step: int, t: float, v: np.ndarray):
+    def dump_hook(step: int, t: float, v: np.ndarray) -> None:
         field = MagneticField(setup.grid, v.copy())
         div = discrete_divergence(v, setup.grid, setup.op_x, setup.op_y)
-        path = out / f"fields_step{step:06d}.csv"
-        write_field_dump(field, div, path, {**meta, "t": _fmt(t)})
-        return path
+        write_field_dump(field, div, out / f"fields_step{step:06d}.csv",
+                         {**meta, "t": _fmt(t)})
 
     hook = dump_hook if config.dump_every > 0 else None
     try:

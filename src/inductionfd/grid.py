@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -45,16 +46,22 @@ class Grid2D:
     def shape(self) -> tuple[int, int]:
         return (self.npx, self.npy)
 
-    @property
+    @cached_property
     def x(self) -> np.ndarray:
-        """Node coordinates along x, length npx."""
-        return np.linspace(self.xmin, self.xmax, self.npx)
+        """Node coordinates along x, length npx; computed once, read-only."""
+        return _frozen_linspace(self.xmin, self.xmax, self.npx)
 
-    @property
+    @cached_property
     def y(self) -> np.ndarray:
-        """Node coordinates along y, length npy."""
-        return np.linspace(self.ymin, self.ymax, self.npy)
+        """Node coordinates along y, length npy; computed once, read-only."""
+        return _frozen_linspace(self.ymin, self.ymax, self.npy)
 
     def meshgrid(self) -> tuple[np.ndarray, np.ndarray]:
         """Coordinate arrays X, Y of shape (npx, npy)."""
         return np.meshgrid(self.x, self.y, indexing="ij")
+
+
+def _frozen_linspace(start: float, stop: float, num: int) -> np.ndarray:
+    a = np.linspace(start, stop, num)
+    a.setflags(write=False)
+    return a

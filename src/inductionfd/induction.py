@@ -24,13 +24,11 @@ import numpy as np
 
 from .dissipation import DissipationOperator1D
 from .grid import Grid2D
-from .sbp import SbpOperator1D, apply_dx, apply_dy
-
-SIDES = ("xmin", "xmax", "ymin", "ymax")
+from .sbp import BandedStencil, SbpOperator1D, apply_dx, apply_dy
 
 
 class NonFiniteStateError(ValueError):
-    """A state handed to :func:`compute_rhs` holds inf or nan entries.
+    """A state handed to :class:`InductionRhs` holds inf or nan entries.
 
     The time integrator turns it into an ``InstabilityError``: a stage
     that overflows is a blown-up run, not a usage error.
@@ -79,17 +77,17 @@ class VelocityCoeffs:
     """Frozen velocity samples and their SBP derivative grids.
 
     ``lam_x`` and ``lam_y`` are the advection speeds u1 and u2 at the
-    nodes; the ``du*`` grids are the discrete velocity gradients entering
-    the zeroth-order coupling term.  All arrays have shape (npx, npy) and
-    are read-only.
+    nodes, shape (npx, npy).  The discrete velocity gradients of the
+    zeroth-order coupling term are stored once, stacked as the RHS uses
+    them: ``couple_sub`` = [du2dy, du1dx] multiplies (B1, B2) and is
+    subtracted, ``couple_add`` = [du1dy, du2dx] multiplies (B2, B1) and is
+    added, each of shape (2, npx, npy).  All arrays are read-only.
     """
 
     lam_x: np.ndarray
     lam_y: np.ndarray
-    du1dx: np.ndarray
-    du1dy: np.ndarray
-    du2dx: np.ndarray
-    du2dy: np.ndarray
+    couple_sub: np.ndarray
+    couple_add: np.ndarray
 
     @property
     def max_speed(self) -> float:
@@ -107,29 +105,23 @@ def sample_velocity(
 
     The gradient grids are computed with the same SBP operators used by the
     scheme, so a constant velocity yields exactly zero coupling and a
-    linear velocity yields its exact gradients.
+    linear velocity yields its exact gradients.  One stacked apply per
+    axis writes them straight into the coupling layout.
     """
     xx, yy = grid.meshgrid()
-    u1, u2 = velocity(xx, yy)
-    u1 = np.broadcast_to(np.asarray(u1, dtype=float), grid.shape)
-    u2 = np.broadcast_to(np.asarray(u2, dtype=float), grid.shape)
-    for name, u in (("u1", u1), ("u2", u2)):
-        if not np.isfinite(u).all():
-            i, j = np.argwhere(~np.isfinite(u))[0]
+    u = np.empty((2,) + grid.shape)
+    u[0], u[1] = velocity(xx, yy)
+    for name, component in (("u1", u[0]), ("u2", u[1])):
+        if not np.isfinite(component).all():
+            i, j = np.argwhere(~np.isfinite(component))[0]
             raise ValueError(f"velocity component {name} is not finite at node ({i}, {j})")
-    u1 = np.ascontiguousarray(u1)
-    u2 = np.ascontiguousarray(u2)
-    coeffs = VelocityCoeffs(
-        lam_x=u1,
-        lam_y=u2,
-        du1dx=apply_dx(op_x, u1, grid),
-        du1dy=apply_dy(op_y, u1, grid),
-        du2dx=apply_dx(op_x, u2, grid),
-        du2dy=apply_dy(op_y, u2, grid),
-    )
-    for a in (coeffs.lam_x, coeffs.lam_y, coeffs.du1dx, coeffs.du1dy, coeffs.du2dx, coeffs.du2dy):
-        a.setflags(write=False)
-    return coeffs
+    # planes: du1dy, du2dy, du1dx, du2dx
+    grads = np.empty((4,) + grid.shape)
+    apply_dy(op_y, u, grid, out=grads[:2])
+    apply_dx(op_x, u, grid, out=grads[2:])
+    u.setflags(write=False)
+    grads.setflags(write=False)
+    return VelocityCoeffs(lam_x=u[0], lam_y=u[1], couple_sub=grads[1:3], couple_add=grads[::3])
 
 
 def sat_sigma(u_inward, theta: float = 1.0):
@@ -146,17 +138,22 @@ def sat_sigma(u_inward, theta: float = 1.0):
 
 @dataclass(frozen=True)
 class SatConfig:
-    """Per-side SAT penalties divided by the boundary norm weight.
+    """SAT penalties divided by the boundary norm weight, laid out like the
+    strided boundary views of a field V of shape (2, npx, npy).
 
-    ``coef_*`` are sigma / (h * p_end), with sigma from :func:`sat_sigma`
-    per boundary node, and multiply (V - g) on the boundary slice.
-    Corner nodes receive the contributions of both adjacent sides.
+    ``coef_x`` has shape (2, npy), rows xmin and xmax, matching
+    ``V[:, ::npx-1, :]``; ``coef_y`` has shape (npx, 2), columns ymin and
+    ymax, matching ``V[:, :, ::npy-1]``.  Each entry is sigma / (h * p_end)
+    with sigma from :func:`sat_sigma` and multiplies (V - g) at its node;
+    corner nodes receive the contributions of both adjacent sides.
     """
 
-    coef_xmin: np.ndarray
-    coef_xmax: np.ndarray
-    coef_ymin: np.ndarray
-    coef_ymax: np.ndarray
+    coef_x: np.ndarray
+    coef_y: np.ndarray
+
+
+#: inward normal of the (min, max) side of an axis
+_INWARD = np.array([1.0, -1.0])
 
 
 def make_sat_config(
@@ -167,21 +164,12 @@ def make_sat_config(
     theta: float = 1.0,
 ) -> SatConfig:
     """Build inflow penalties for all four sides from the sampled velocity."""
-    sig = {
-        "xmin": sat_sigma(coeffs.lam_x[0, :], theta),
-        "xmax": sat_sigma(-coeffs.lam_x[-1, :], theta),
-        "ymin": sat_sigma(coeffs.lam_y[:, 0], theta),
-        "ymax": sat_sigma(-coeffs.lam_y[:, -1], theta),
-    }
-    p0x = grid.dx * op_x.p[0]
-    pnx = grid.dx * op_x.p[-1]
-    p0y = grid.dy * op_y.p[0]
-    pny = grid.dy * op_y.p[-1]
+    inward_x = coeffs.lam_x[:: grid.npx - 1] * _INWARD[:, None]
+    inward_y = coeffs.lam_y[:, :: grid.npy - 1] * _INWARD
+    # the norm weights are symmetric, so both ends of an axis share p[0]
     return SatConfig(
-        coef_xmin=sig["xmin"] / p0x,
-        coef_xmax=sig["xmax"] / pnx,
-        coef_ymin=sig["ymin"] / p0y,
-        coef_ymax=sig["ymax"] / pny,
+        coef_x=sat_sigma(inward_x, theta) / (grid.dx * op_x.p[0]),
+        coef_y=sat_sigma(inward_y, theta) / (grid.dy * op_y.p[0]),
     )
 
 
@@ -190,38 +178,27 @@ class BoundaryData:
     """Dirichlet data evaluator for the four sides of the domain.
 
     ``mode`` is ``zero`` or ``exact``.  In ``exact`` mode ``exact`` is a
-    callable (X, Y, t) -> (B1, B2) sampled on the boundary nodes.  The side
-    coordinates are computed once, concatenated in ``SIDES`` order (npy
-    nodes per x side, npx per y side), so the exact callable samples all
-    four sides in one call.
+    callable (X, Y, t) -> (B1, B2) sampled on the boundary nodes, in the
+    layout of :class:`SatConfig`: the x sides as (2, npy) and the y sides
+    as (npx, 2), concatenated so that one call samples all four sides.
     """
 
     grid: Grid2D
     mode: str
     exact: Callable | None = None
-    side_x: np.ndarray = field(init=False, repr=False, compare=False)
-    side_y: np.ndarray = field(init=False, repr=False, compare=False)
-    bounds: dict = field(init=False, repr=False, compare=False)
+    _coords: tuple = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self) -> None:
         if self.mode not in ("zero", "exact"):
             raise ValueError(f"unknown boundary mode {self.mode!r}")
         if self.mode == "exact" and self.exact is None:
             raise ValueError("exact boundary mode needs an exact-solution callable")
-        grid = self.grid
-        x, y = grid.x, grid.y
-        side_x = np.concatenate([np.full(grid.npy, grid.xmin), np.full(grid.npy, grid.xmax),
-                                 x, x])
-        side_y = np.concatenate([y, y, np.full(grid.npx, grid.ymin),
-                                 np.full(grid.npx, grid.ymax)])
-        ends = np.cumsum([0, grid.npy, grid.npy, grid.npx, grid.npx])
-        for a in (side_x, side_y):
-            a.setflags(write=False)
-        object.__setattr__(self, "side_x", side_x)
-        object.__setattr__(self, "side_y", side_y)
-        object.__setattr__(self, "bounds", {
-            side: slice(int(ends[k]), int(ends[k + 1])) for k, side in enumerate(SIDES)
-        })
+        if self.mode == "exact":
+            grid = self.grid
+            ends_x, ends_y = (grid.xmin, grid.xmax), (grid.ymin, grid.ymax)
+            side_x = np.concatenate([np.repeat(ends_x, grid.npy), np.repeat(grid.x, 2)])
+            side_y = np.concatenate([np.tile(grid.y, 2), np.tile(ends_y, grid.npx)])
+            object.__setattr__(self, "_coords", (side_x, side_y))
 
     @classmethod
     def zero(cls, grid: Grid2D) -> "BoundaryData":
@@ -231,22 +208,110 @@ class BoundaryData:
     def from_exact(cls, grid: Grid2D, exact: Callable) -> "BoundaryData":
         return cls(grid, "exact", exact=exact)
 
-    def all_sides(self, t: float) -> np.ndarray | None:
-        """Data (g1, g2) on all four sides at time t, shape (2, 2*npy + 2*npx).
+    def all_sides(self, t: float) -> tuple[np.ndarray, np.ndarray] | None:
+        """Data on all four sides at time t as read-only (g_x, g_y).
 
-        The columns follow ``side_x``/``side_y``; ``bounds`` maps each side
-        to its slice.  Zero mode returns None and evaluates nothing.
+        ``g_x`` of shape (2, 2, npy) matches ``V[:, ::npx-1, :]`` and
+        ``g_y`` of shape (2, npx, 2) matches ``V[:, :, ::npy-1]``.  Zero
+        mode returns None and evaluates nothing.
         """
         if self.mode == "zero":
             return None
-        g1, g2 = self.exact(self.side_x, self.side_y, t)
-        shape = self.side_x.shape
-        return np.stack([np.broadcast_to(np.asarray(g1, dtype=float), shape),
-                         np.broadcast_to(np.asarray(g2, dtype=float), shape)])
+        side_x, side_y = self._coords
+        g = np.empty((2, side_x.size))
+        g[0], g[1] = self.exact(side_x, side_y, t)
+        g.setflags(write=False)
+        npx, npy = self.grid.shape
+        split = 2 * npy
+        return g[:, :split].reshape(2, 2, npy), g[:, split:].reshape(2, npx, 2)
 
 
-#: boundary slice of a stacked (2, npx, npy) array for each side, in SIDES order
-_EDGES = (np.s_[:, 0, :], np.s_[:, -1, :], np.s_[:, :, 0], np.s_[:, :, -1])
+class InductionRhs:
+    """The semi-discrete tendency dV/dt = L V + b(t) of one run, assembled once.
+
+    Called as ``rhs(t, v)`` on a field of shape (2, npx, npy), it adds, in
+    order: the advection terms, the velocity-gradient coupling, the
+    optional dissipation operator along each axis, and the SAT penalties
+    (sigma / p_boundary) * (V - g) on the boundary rows of both components,
+    corner nodes taking both adjacent sides.  Everything that does not
+    change between calls is built here: per axis the derivative stencil
+    with -1/h folded in and the dissipation stencil with its h power
+    (``BandedStencil``), the coupling arrays of ``coeffs``, the SAT
+    coefficients of ``sat`` in their strided layout, and one scratch
+    buffer.  The exact boundary data is sampled only when t differs from
+    the last time it was sampled, a one-entry memo: RK4's two middle
+    stages share a time, and a step's last stage time is the next step's
+    first.  Zero boundary data samples nothing.
+
+    Every call returns a fresh array, because the RK stages hold several
+    results at once.  The scratch buffer and the memo belong to the
+    object, so one object must not be called from two threads at once.
+    """
+
+    def __init__(
+        self,
+        grid: Grid2D,
+        coeffs: VelocityCoeffs,
+        bdata: BoundaryData,
+        sat: SatConfig,
+        op_x: SbpOperator1D,
+        op_y: SbpOperator1D,
+        diss_x: DissipationOperator1D | None = None,
+        diss_y: DissipationOperator1D | None = None,
+    ) -> None:
+        shape = grid.shape
+        self.shape = (2,) + shape
+        self._dx = BandedStencil(op_x, -2, -(grid.dx**op_x.h_exponent), shape)
+        self._dy = BandedStencil(op_y, -1, -(grid.dy**op_y.h_exponent), shape)
+        self._diss = tuple(
+            BandedStencil(op, axis, h**op.h_exponent, shape)
+            for op, axis, h in ((diss_x, -2, grid.dx), (diss_y, -1, grid.dy))
+            if op is not None
+        )
+        self._lam_x, self._lam_y = coeffs.lam_x, coeffs.lam_y
+        self._sub, self._add = coeffs.couple_sub, coeffs.couple_add
+        self._coef_x, self._coef_y = sat.coef_x, sat.coef_y
+        self._edge_steps = (grid.npx - 1, grid.npy - 1)
+        self._sample = bdata.all_sides
+        self._t = None
+        self._g = None
+        self._work = np.empty(self.shape)
+
+    def boundary_data(self, t: float) -> tuple[np.ndarray, np.ndarray] | None:
+        """``BoundaryData.all_sides(t)``, sampled only when t is not the
+        time of the previous sample."""
+        if t != self._t:
+            self._g = self._sample(t)
+            self._t = t
+        return self._g
+
+    def __call__(self, t: float, v: np.ndarray) -> np.ndarray:
+        if v.shape != self.shape:
+            raise ValueError(f"state must have shape {self.shape}, got {v.shape}")
+        if not np.isfinite(v).all():
+            raise NonFiniteStateError("state contains non-finite values")
+        v = np.ascontiguousarray(v, dtype=float)
+        work = self._work
+        rhs = self._dx.apply(v, np.empty(self.shape))
+        rhs *= self._lam_x
+        self._dy.apply(v, work)
+        work *= self._lam_y
+        rhs += work
+        np.multiply(self._sub, v, out=work)
+        rhs -= work
+        np.multiply(self._add, v[::-1], out=work)
+        rhs += work
+        for stencil in self._diss:
+            rhs += stencil.apply(v, work)
+
+        sx, sy = self._edge_steps
+        vx, vy = v[:, ::sx, :], v[:, :, ::sy]
+        g = self.boundary_data(t)
+        if g is not None:
+            vx, vy = vx - g[0], vy - g[1]
+        rhs[:, ::sx, :] += self._coef_x * vx
+        rhs[:, :, ::sy] += self._coef_y * vy
+        return rhs
 
 
 def compute_rhs(
@@ -263,40 +328,8 @@ def compute_rhs(
 ) -> np.ndarray:
     """Semi-discrete tendency dV/dt for a field of shape (2, npx, npy).
 
-    Adds, in order: the advection terms, the velocity-gradient coupling,
-    the optional dissipation operator along each axis, and the per-side
-    SAT penalties (sigma / p_boundary) * (V - g) on the boundary slices of
-    both components.  Corner nodes accumulate both adjacent sides.  Each
-    operator is applied once to both components together, and the
-    boundary data of all four sides is evaluated in one call.
+    The one-shot form of :class:`InductionRhs`: it assembles the operator
+    from these pieces and applies it once.  A run builds the object once
+    instead (``RunSetup.rhs``).
     """
-    if v.shape != (2, grid.npx, grid.npy):
-        raise ValueError(
-            f"state must have shape (2, {grid.npx}, {grid.npy}), got {v.shape}"
-        )
-    if not np.isfinite(v).all():
-        raise NonFiniteStateError("state contains non-finite values")
-    v1, v2 = v[0], v[1]
-
-    rhs = apply_dx(op_x, v, grid)
-    rhs *= coeffs.lam_x
-    work = apply_dy(op_y, v, grid)
-    work *= coeffs.lam_y
-    rhs += work
-    np.negative(rhs, out=rhs)
-    rhs[0] -= coeffs.du2dy * v1
-    rhs[0] += coeffs.du1dy * v2
-    rhs[1] += coeffs.du2dx * v1
-    rhs[1] -= coeffs.du1dx * v2
-
-    if diss_x is not None:
-        rhs += apply_dx(diss_x, v, grid, out=work)
-    if diss_y is not None:
-        rhs += apply_dy(diss_y, v, grid, out=work)
-
-    g = bdata.all_sides(t)
-    coefs = (sat.coef_xmin, sat.coef_xmax, sat.coef_ymin, sat.coef_ymax)
-    for side, edge, coef in zip(SIDES, _EDGES, coefs):
-        jump = v[edge] if g is None else v[edge] - g[:, bdata.bounds[side]]
-        rhs[edge] += coef * jump
-    return rhs
+    return InductionRhs(grid, coeffs, bdata, sat, op_x, op_y, diss_x, diss_y)(t, v)

@@ -6,9 +6,9 @@ split into an interior stencil plus explicit boundary-closure rows.  The
 derivative is D = P^{-1} Q / h and satisfies Q + Q^T = diag(-1, 0, ..., 0, 1),
 which is what every energy estimate in this package rests on.
 
-Application is matrix-free: interior rows are evaluated by shifted slices
-and the closure rows by small dense blocks, along either of the last two
-axes of a field of shape (..., npx, npy).
+Application is matrix-free (``BandedStencil``): interior rows are
+evaluated by shifted slices and the closure rows by small dense blocks,
+along either of the last two axes of a field of shape (..., npx, npy).
 """
 
 from __future__ import annotations
@@ -134,56 +134,102 @@ def build_sbp(order: int, n: int) -> SbpOperator1D:
     )
 
 
-def _apply_banded(op, f: np.ndarray, axis: int, scale: float,
-                  out: np.ndarray | None = None) -> np.ndarray:
-    """Apply ``scale`` times a banded operator with closure blocks along
-    ``axis`` (-2 or -1) of ``f``, writing into ``out`` when given.
+class BandedStencil:
+    """A banded 1D operator along one axis of arrays (..., npx, npy), with
+    every constant of its application computed once.
 
-    In C order a shift along either of the last two axes is a shift of
-    the flat array by that axis's stride, so the interior stencil runs on
-    contiguous flat slices for both axes and any stacked leading axes.
-    The flat range also covers nodes whose stencil wraps into the next
-    line; those are exactly the closure nodes, which the closure blocks
-    overwrite afterwards (every stencil half-width is at most the closure
-    size).  ``scale`` multiplies the coefficients, not the result.
+    ``scale`` multiplies the operator's tables: the grid-spacing power,
+    and any sign the caller folds in.  The interior row is split into its
+    centre weight and pairs: an antisymmetric row (a derivative) pairs
+    its nodes as c_k (f[i+k] - f[i-k]), a symmetric one (a dissipation) as
+    c_k (f[i+k] + f[i-k]).  The terms are summed from the outermost pair
+    inwards, each partial sum scaled by the ratio of consecutive
+    coefficients and the total by the innermost one, so the apply needs
+    no scratch array.  In C order a shift along either of the last two
+    axes is a shift of the flat array by that axis's stride, so the
+    interior runs on contiguous flat slices for both axes and any stacked
+    leading axes.  The flat range also covers nodes whose stencil wraps
+    into the next line; those are exactly the closure nodes, which the
+    closure blocks overwrite afterwards (every stencil half-width is at
+    most the closure size).  The closure blocks are stored scaled and
+    contiguous, transposed along y, so each is one matmul.
     """
+
+    def __init__(self, op, axis: int, scale: float, shape: tuple[int, int]):
+        """``axis`` is -2 (x) or -1 (y) of arrays whose last two axes are ``shape``."""
+        n = shape[axis]
+        if op.n != n:
+            raise ValueError(f"operator built for {op.n} points, grid has "
+                             f"{'npx' if axis == -2 else 'npy'}={n}")
+        interior = np.asarray(op.interior) * scale
+        width = len(interior) // 2
+        stride = shape[-1] if axis == -2 else 1
+        # (coefficient, shift, combine); the centre has shift 0 and no partner
+        terms = [(float(interior[width]), 0, None)]
+        for k in range(1, width + 1):
+            ahead, behind = interior[width + k], interior[width - k]
+            if behind == -ahead:
+                combine = np.subtract
+            elif behind == ahead:
+                combine = np.add
+            else:
+                raise ValueError("interior stencil is neither symmetric nor antisymmetric")
+            terms.append((float(ahead), k * stride, combine))
+        terms = [term for term in terms if term[0] != 0.0][::-1]
+        top, bot = op.top * scale, op.bot * scale
+        if axis == -1:
+            top, bot = top.T, bot.T
+        self.axis = axis
+        self.n = n
+        self.rows, self.cols = op.top.shape
+        self.lo = self.rows * stride
+        self.first = terms[0][1:] if terms else None
+        self.steps = tuple((outer[0] / inner[0],) + inner[1:]
+                           for outer, inner in zip(terms, terms[1:]))
+        self.last = terms[-1][0] if terms else 0.0
+        self.top = np.ascontiguousarray(top)
+        self.bot = np.ascontiguousarray(bot)
+
+    def apply(self, f: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Write the operator applied to ``f`` into ``out`` and return ``out``;
+        both are C-contiguous float arrays of one shape (..., npx, npy)."""
+        flat, acc = f.reshape(-1), out.reshape(-1)
+        lo, hi = self.lo, f.size - self.lo
+        dst = acc[lo:hi]
+        if self.first is None:
+            dst[...] = 0.0
+        else:
+            shift, combine = self.first
+            if combine is None:
+                dst[...] = flat[lo:hi]
+            else:
+                combine(flat[lo + shift : hi + shift], flat[lo - shift : hi - shift], out=dst)
+            for ratio, shift, combine in self.steps:
+                dst *= ratio
+                dst += flat[lo + shift : hi + shift]
+                if combine is not None:
+                    combine(dst, flat[lo - shift : hi - shift], out=dst)
+            dst *= self.last
+        n, rows, cols = self.n, self.rows, self.cols
+        if self.axis == -2:
+            np.matmul(self.top, f[..., :cols, :], out=out[..., :rows, :])
+            np.matmul(self.bot, f[..., n - cols :, :], out=out[..., n - rows :, :])
+        else:
+            np.matmul(f[..., :cols], self.top, out=out[..., :rows])
+            np.matmul(f[..., n - cols :], self.bot, out=out[..., n - rows :])
+        return out
+
+
+def _apply(op, f: np.ndarray, grid: Grid2D, axis: int, h: float,
+           out: np.ndarray | None) -> np.ndarray:
+    if f.ndim < 2 or f.shape[-2:] != grid.shape:
+        raise ValueError(f"field shape {f.shape} does not match grid {grid.shape}")
     f = np.ascontiguousarray(f, dtype=float)
     if out is None:
         out = np.empty(f.shape)
     elif out.shape != f.shape or not out.flags.c_contiguous:
         raise ValueError(f"out must be a C-contiguous array of shape {f.shape}")
-    n = f.shape[axis]
-    rows, cols = op.top.shape
-    stride = f.shape[-1] if axis == -2 else 1
-    flat, acc = f.reshape(-1), out.reshape(-1)
-    lo, hi = rows * stride, f.size - rows * stride
-    width = (len(op.interior) - 1) // 2
-    terms = [(coef * scale, (k - width) * stride)
-             for k, coef in enumerate(op.interior) if coef != 0.0]
-    if not terms:
-        acc[lo:hi] = 0.0
-    for k, (coef, shift) in enumerate(terms):
-        shifted = flat[lo + shift : hi + shift]
-        if k == 0:
-            np.multiply(shifted, coef, out=acc[lo:hi])
-        else:
-            acc[lo:hi] += coef * shifted
-    top = op.top * scale
-    bot = op.bot * scale
-    if axis == -2:
-        np.matmul(top, f[..., :cols, :], out=out[..., :rows, :])
-        np.matmul(bot, f[..., n - cols :, :], out=out[..., n - rows :, :])
-    else:
-        np.matmul(f[..., :cols], top.T, out=out[..., :rows])
-        np.matmul(f[..., n - cols :], bot.T, out=out[..., n - rows :])
-    return out
-
-
-def _check_field(op, f: np.ndarray, grid: Grid2D, axis_name: str, n: int) -> None:
-    if f.ndim < 2 or f.shape[-2:] != grid.shape:
-        raise ValueError(f"field shape {f.shape} does not match grid {grid.shape}")
-    if op.n != n:
-        raise ValueError(f"operator built for {op.n} points, grid has {axis_name}={n}")
+    return BandedStencil(op, axis, h**op.h_exponent, grid.shape).apply(f, out)
 
 
 def apply_dx(op, f: np.ndarray, grid: Grid2D, out: np.ndarray | None = None) -> np.ndarray:
@@ -192,8 +238,7 @@ def apply_dx(op, f: np.ndarray, grid: Grid2D, out: np.ndarray | None = None) -> 
     Leading axes are stacked fields (such as the two components of B),
     each transformed alike.  The result goes to ``out`` when given.
     """
-    _check_field(op, f, grid, "npx", grid.npx)
-    return _apply_banded(op, f, -2, grid.dx**op.h_exponent, out)
+    return _apply(op, f, grid, -2, grid.dx, out)
 
 
 def apply_dy(op, f: np.ndarray, grid: Grid2D, out: np.ndarray | None = None) -> np.ndarray:
@@ -202,8 +247,7 @@ def apply_dy(op, f: np.ndarray, grid: Grid2D, out: np.ndarray | None = None) -> 
     Leading axes are stacked fields (such as the two components of B),
     each transformed alike.  The result goes to ``out`` when given.
     """
-    _check_field(op, f, grid, "npy", grid.npy)
-    return _apply_banded(op, f, -1, grid.dy**op.h_exponent, out)
+    return _apply(op, f, grid, -1, grid.dy, out)
 
 
 @dataclass(frozen=True)

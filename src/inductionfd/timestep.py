@@ -90,25 +90,25 @@ def integrate(
     coeffs: VelocityCoeffs | None = None,
     hook: Callable | None = None,
     hook_every: int = 1,
-) -> tuple[np.ndarray, list]:
-    """Advance ``v0`` from ``t0`` to ``config.t_final``; return (final state, hook records).
+) -> tuple[np.ndarray, int]:
+    """Advance ``v0`` from ``t0`` to ``config.t_final``; return (final state, steps taken).
 
     The step size is ``config.fixed_dt`` if given, otherwise the CFL step
-    computed from ``grid`` and ``coeffs``; step k starts at t0 + k*dt.
-    ``hook(step, t, v)`` is invoked at t0, every ``hook_every`` accepted
-    steps, and at the final time; its return values are collected.  A
-    non-finite state, after a step or inside one of its stages, aborts with
-    an InstabilityError carrying the step index, its start time and the
-    last finite state.
+    computed from ``grid`` and ``coeffs``.  Step k runs from
+    t_k = t0 + k*dt to t_{k+1} with length t_{k+1} - t_k, so its last stage
+    time is exactly the next step's start time.  ``hook(step, t, v)`` is
+    invoked at t0, every ``hook_every`` accepted steps, and at the final
+    time.  A non-finite state, after a step or inside one of its stages,
+    aborts with an InstabilityError carrying the step index, its start
+    time and the last finite state.
     """
     if config.t_final < t0:
         raise ValueError(f"t_final {config.t_final} lies before the start time {t0}")
-    records: list = []
     v = np.array(v0, dtype=float, copy=True)
     if hook is not None:
-        records.append(hook(0, t0, v))
+        hook(0, t0, v)
     if config.t_final == t0:
-        return v, records
+        return v, 0
 
     if config.fixed_dt is not None:
         dt_base = config.fixed_dt
@@ -119,20 +119,20 @@ def integrate(
     stepper = _STEPPERS[config.method]
 
     n_steps = max(1, int(np.ceil((config.t_final - t0) / dt_base - 1e-12)))
+    t = t0
     for k in range(n_steps):
-        t = t0 + k * dt_base
         last = k == n_steps - 1
-        dt = config.t_final - t if last else dt_base
+        t_next = config.t_final if last else t0 + (k + 1) * dt_base
         try:
-            v_new = stepper(v, t, dt, rhs)
+            v_new = stepper(v, t, t_next - t, rhs)
             finite = np.isfinite(v_new).all()
-        except NonFiniteStateError:  # a stage overflowed inside compute_rhs
+        except NonFiniteStateError:  # a stage overflowed inside the RHS
             finite = False
         if not finite:
             raise InstabilityError(f"integration went unstable at step {k + 1} (t={t!r})",
                                    step=k + 1, time=t, last_state=v)
         v = v_new
+        t = t_next
         if hook is not None and ((k + 1) % hook_every == 0 or last):
-            t_next = config.t_final if last else t0 + (k + 1) * dt_base
-            records.append(hook(k + 1, t_next, v))
-    return v, records
+            hook(k + 1, t, v)
+    return v, n_steps

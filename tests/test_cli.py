@@ -198,6 +198,21 @@ class TestSingleRun:
         assert "error inf%" not in captured.out
         assert not (tmp_path / "error_table.csv").exists()
 
+    def test_finite_blow_up_exits_2(self, tmp_path, capsys):
+        """The run ends finite with error 1.5e139 percent: its P-energy is far
+        above the limit, so it is an instability, not exit 0."""
+        with np.errstate(over="ignore"):
+            code = main([
+                "--experiment", "3", "--scheme", "sbp4", "--nx", "30", "--ny", "30",
+                "--cfl", "0.8", "--tfinal", "20", "--dissipation", "none",
+                "--integrator", "rk2", "--out", str(tmp_path),
+            ])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "instability" in captured.err and "times the larger" in captured.err
+        assert "error" not in captured.out
+        assert not (tmp_path / "error_table.csv").exists()
+
 
 class TestWriteFieldDump:
     @staticmethod

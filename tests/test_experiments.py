@@ -14,6 +14,7 @@ from inductionfd import (
     experiment2,
     experiment3,
     get_experiment,
+    p_energy,
     run_convergence_study,
     run_long_time,
     run_single,
@@ -21,6 +22,7 @@ from inductionfd import (
     study_config,
     study_spec,
 )
+from inductionfd import experiments
 from inductionfd.experiments import SCHEMES, SchemeConfig, _hump, _rotated_hump
 
 
@@ -218,7 +220,7 @@ class TestRunHarnesses:
         scheme = scheme_config("sbp4", cfl=1.0, integrator="rk2")
         with np.errstate(over="ignore"):
             results = run_convergence_study(
-                experiment3(), [scheme], grids=(10, 100), t_final=8.0
+                experiment3(), [scheme], grids=(10, 100), t_final=0.5
             )
         rows = results["sbp4"]
         assert len(rows) == 2
@@ -238,21 +240,43 @@ class TestRunHarnesses:
         assert all(0.0 < r.time < 50.0 for r in rows)
 
     def test_overflowing_end_state_becomes_failed_row(self):
-        """Without dissipation at CFL 0.8 the order-4 scheme ends the run with
-        finite values whose error and P-energy overflow at 40^2: run_single
-        reports that as an instability, so the study records a failed row."""
+        """Without dissipation at CFL 0.8 under rk2 the order-4 scheme ends the
+        run with finite values whose error and P-energy overflow at 40^2; at
+        30^2 they stay finite (error 1.5e139 percent) but the P-energy is far
+        beyond its limit.  run_single reports both as instabilities, so the
+        study records two failed rows."""
         scheme = scheme_config("sbp4", cfl=0.8, dissipation="none", integrator="rk2")
         with np.errstate(over="ignore"):
             with pytest.raises(InstabilityError, match="inf") as excinfo:
                 run_single(assemble(experiment3(), scheme, 40, 40), t_final=20.0)
             results = run_convergence_study(
-                experiment3(), [scheme], grids=(20, 40), t_final=20.0
+                experiment3(), [scheme], grids=(30, 40), t_final=20.0
             )
         err = excinfo.value
         assert err.time == 20.0 and np.isfinite(err.last_state).all()
         rows = results["sbp4"]
-        assert not rows[0].failed and np.isfinite(rows[0].error_percent)
-        assert rows[1].failed and rows[1].time == 20.0
+        assert [r.failed for r in rows] == [True, True]
+        assert [r.time for r in rows] == [20.0, 20.0]
+
+    def test_finite_blow_up_raises(self):
+        """A run that ends finite but far above the energy limit has blown up."""
+        scheme = scheme_config("sbp4", cfl=0.8, dissipation="none", integrator="rk2")
+        setup = assemble(experiment3(), scheme, 30, 30)
+        with np.errstate(over="ignore"), \
+                pytest.raises(InstabilityError, match="times the larger") as excinfo:
+            run_single(setup, t_final=20.0)
+        err = excinfo.value
+        assert err.time == 20.0 and np.isfinite(err.last_state).all()
+        assert p_energy(err.last_state, setup.grid, setup.op_x, setup.op_y) > 1e200
+
+    def test_energy_limit_scales_the_reference_energy(self, monkeypatch):
+        """A regular run passes, and fails once the limit is below its ratio
+        of final to reference P-energy (at most 1 without inflow data)."""
+        setup = assemble(experiment1(), scheme_config("sbp2"), 12, 12)
+        run_single(setup, t_final=0.1)
+        monkeypatch.setattr(experiments, "ENERGY_LIMIT", 0.5)
+        with pytest.raises(InstabilityError, match=r"limit 0\.5"):
+            run_single(setup, t_final=0.1)
 
     def test_long_time_records_each_rotation(self):
         records = run_long_time(experiment1(), scheme_config("sbp2"), 20, 20, 2)
@@ -264,12 +288,13 @@ class TestRunHarnesses:
         assert records[1].error_percent > 0.0
 
     def test_long_time_blow_up_raises_at_absolute_time(self):
-        """Without dissipation at CFL 0.8 under rk2 the order-4 scheme blows up
-        in the second rotation: its error overflows at t = 4 pi, and every
-        rotation is one run_single, so the long-time run raises there."""
-        scheme = scheme_config("sbp4", cfl=0.8, dissipation="none", integrator="rk2")
+        """Without dissipation at CFL 0.6 under rk2 the order-4 scheme on 10^2
+        ends the first rotation with 1.2 times its reference P-energy and the
+        second with thousands of times; every rotation is one run_single, so
+        the long-time run raises at t = 4 pi."""
+        scheme = scheme_config("sbp4", cfl=0.6, dissipation="none", integrator="rk2")
         with np.errstate(over="ignore"), pytest.raises(InstabilityError) as excinfo:
-            run_long_time(experiment3(), scheme, 60, 60, 3)
+            run_long_time(experiment3(), scheme, 10, 10, 3)
         err = excinfo.value
         assert err.time == 4.0 * np.pi
         assert np.isfinite(err.last_state).all()

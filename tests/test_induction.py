@@ -6,6 +6,8 @@ import pytest
 from inductionfd import (
     BoundaryData,
     Grid2D,
+    InductionRhs,
+    IntegratorConfig,
     MagneticField,
     apply_dx,
     apply_dy,
@@ -15,13 +17,14 @@ from inductionfd import (
     compute_rhs,
     experiment1,
     experiment2,
+    integrate,
     make_sat_config,
+    rk4_step,
     sample_velocity,
     sat_sigma,
     scheme_config,
     study_config,
 )
-from inductionfd import induction
 
 from dense_oracle import dense_rhs_matrix
 
@@ -63,7 +66,7 @@ class TestSampleVelocity:
         coeffs = sample_velocity(lambda x, y: (3.0, -1.5), grid, op, op)
         np.testing.assert_array_equal(coeffs.lam_x, 3.0)
         np.testing.assert_array_equal(coeffs.lam_y, -1.5)
-        for g in (coeffs.du1dx, coeffs.du1dy, coeffs.du2dx, coeffs.du2dy):
+        for g in (coeffs.couple_sub, coeffs.couple_add):
             np.testing.assert_allclose(g, 0.0, atol=1e-13)
         assert coeffs.max_speed == pytest.approx(4.5)
 
@@ -72,10 +75,12 @@ class TestSampleVelocity:
         grid = Grid2D(-1.0, 1.0, -1.0, 1.0, 11, 13)
         op_x, op_y = build_sbp(4, 11), build_sbp(4, 13)
         coeffs = sample_velocity(lambda x, y: (-y, x), grid, op_x, op_y)
-        np.testing.assert_allclose(coeffs.du1dx, 0.0, atol=1e-12)
-        np.testing.assert_allclose(coeffs.du1dy, -1.0, atol=1e-12)
-        np.testing.assert_allclose(coeffs.du2dx, 1.0, atol=1e-12)
-        np.testing.assert_allclose(coeffs.du2dy, 0.0, atol=1e-12)
+        du2dy, du1dx = coeffs.couple_sub
+        du1dy, du2dx = coeffs.couple_add
+        np.testing.assert_allclose(du1dx, 0.0, atol=1e-12)
+        np.testing.assert_allclose(du1dy, -1.0, atol=1e-12)
+        np.testing.assert_allclose(du2dx, 1.0, atol=1e-12)
+        np.testing.assert_allclose(du2dy, 0.0, atol=1e-12)
 
     def test_nonfinite_velocity_rejected(self):
         grid = Grid2D(0.0, 1.0, 0.0, 1.0, 5, 5)
@@ -114,11 +119,13 @@ class TestSatConfig:
         sat = make_sat_config(coeffs, grid, op, op)
         w = grid.dx * op.p[0]  # boundary norm weight, equal on all four sides
         # at x = xmin the inward speed is u1 = -y: inflow where y < 0
-        np.testing.assert_array_equal(sat.coef_xmin, -np.maximum(-grid.y, 0.0) / w)
+        # coef_x rows are the sides xmin, xmax; coef_y columns ymin, ymax
+        assert sat.coef_x.shape == (2, 9) and sat.coef_y.shape == (9, 2)
+        np.testing.assert_array_equal(sat.coef_x[0], -np.maximum(-grid.y, 0.0) / w)
         # at x = xmax the inward speed is -u1 = y: inflow where y > 0
-        np.testing.assert_array_equal(sat.coef_xmax, -np.maximum(grid.y, 0.0) / w)
-        np.testing.assert_array_equal(sat.coef_ymin, -np.maximum(grid.x, 0.0) / w)
-        np.testing.assert_array_equal(sat.coef_ymax, -np.maximum(-grid.x, 0.0) / w)
+        np.testing.assert_array_equal(sat.coef_x[1], -np.maximum(grid.y, 0.0) / w)
+        np.testing.assert_array_equal(sat.coef_y[:, 0], -np.maximum(grid.x, 0.0) / w)
+        np.testing.assert_array_equal(sat.coef_y[:, 1], -np.maximum(-grid.x, 0.0) / w)
 
     def test_coef_divides_boundary_norm_weight(self):
         grid = Grid2D(0.0, 1.0, 0.0, 1.0, 12, 12)
@@ -126,31 +133,35 @@ class TestSatConfig:
         coeffs = sample_velocity(lambda x, y: (1.0, 2.0), grid, op, op)
         sat = make_sat_config(coeffs, grid, op, op)
         h = grid.dx
-        np.testing.assert_allclose(sat.coef_xmin, -1.0 / (h * 17.0 / 48.0))
-        np.testing.assert_allclose(sat.coef_xmax, 0.0)
-        np.testing.assert_allclose(sat.coef_ymin, -2.0 / (h * 17.0 / 48.0))
+        np.testing.assert_allclose(sat.coef_x[0], -1.0 / (h * 17.0 / 48.0))
+        np.testing.assert_allclose(sat.coef_x[1], 0.0)
+        np.testing.assert_allclose(sat.coef_y[:, 0], -2.0 / (h * 17.0 / 48.0))
 
 
 class TestBoundaryTrace:
     def test_zero_mode(self):
         grid = Grid2D(0.0, 1.0, 0.0, 1.0, 5, 8)
-        bdata = BoundaryData.zero(grid)
-        assert bdata.all_sides(0.3) is None
-        sizes = {side: part.stop - part.start for side, part in bdata.bounds.items()}
-        assert sizes == {"xmin": 8, "xmax": 8, "ymin": 5, "ymax": 5}
+        assert BoundaryData.zero(grid).all_sides(0.3) is None
+        g_x, g_y = BoundaryData.from_exact(grid, lambda x, y, t: (x, y)).all_sides(0.3)
+        assert g_x.shape == (2, 2, 8) and g_y.shape == (2, 5, 2)
 
     def test_exact_mode_samples_side_coordinates(self):
         grid = Grid2D(0.0, 2.0, -1.0, 1.0, 6, 5)
-        bdata = BoundaryData.from_exact(grid, lambda x, y, t: (x + 10.0 * y + t, y))
-        g = bdata.all_sides(0.5)
-        assert g.shape == (2, 2 * 5 + 2 * 6)
-        part = bdata.bounds["xmax"]
-        np.testing.assert_allclose(g[0, part], 2.0 + 10.0 * grid.y + 0.5)
-        np.testing.assert_allclose(g[1, part], grid.y)
-        part = bdata.bounds["ymin"]
-        g = bdata.all_sides(0.0)
-        np.testing.assert_allclose(g[0, part], grid.x - 10.0)
-        np.testing.assert_allclose(g[1, part], -1.0)
+
+        def exact(x, y, t):
+            return x + 10.0 * y + t, y
+
+        bdata = BoundaryData.from_exact(grid, exact)
+        g_x, g_y = bdata.all_sides(0.5)
+        np.testing.assert_allclose(g_x[0, 1], 2.0 + 10.0 * grid.y + 0.5)  # xmax
+        np.testing.assert_allclose(g_x[1, 1], grid.y)
+        g_x, g_y = bdata.all_sides(0.0)
+        np.testing.assert_allclose(g_y[0, :, 0], grid.x - 10.0)  # ymin
+        np.testing.assert_allclose(g_y[1, :, 0], -1.0)
+        # the layout is that of the strided boundary views of a field
+        xx, yy = grid.meshgrid()
+        np.testing.assert_array_equal(g_x, np.stack(exact(xx[::5, :], yy[::5, :], 0.0)))
+        np.testing.assert_array_equal(g_y, np.stack(exact(xx[:, ::4], yy[:, ::4], 0.0)))
 
     def test_mode_validation(self):
         grid = Grid2D(0.0, 1.0, 0.0, 1.0, 4, 4)
@@ -325,9 +336,13 @@ class TestFusedRhs:
         matrix = dense_rhs_matrix(grid, scheme.order, setup.spec.velocity,
                                   theta=scheme.theta, dissipation=scheme.dissipation,
                                   alpha=setup.coeffs.max_speed)
+        pieces = (grid, setup.coeffs, setup.bdata, setup.sat, setup.op_x, setup.op_y,
+                  setup.diss_x, setup.diss_y)
         for _ in range(5):
             v = rng.standard_normal((2, npx, npy))
             fused = setup.rhs(0.0, v)
+            np.testing.assert_allclose(fused, compute_rhs(v, 0.0, *pieces),
+                                       rtol=0, atol=1e-13)
             np.testing.assert_allclose(fused, _per_term_rhs(setup, v, 0.0),
                                        rtol=0, atol=1e-13)
             dense = (matrix @ v.ravel()).reshape(v.shape)
@@ -352,10 +367,9 @@ class TestFusedRhs:
 
         bdata = BoundaryData.from_exact(grid, exact)
         # the per-side reference data, sampled before counting calls
-        traces = []
-        for side in induction.SIDES:
-            part = bdata.bounds[side]
-            traces.append(exact(bdata.side_x[part], bdata.side_y[part], 0.3))
+        xx, yy = grid.meshgrid()
+        edges = (np.s_[0, :], np.s_[-1, :], np.s_[:, 0], np.s_[:, -1])
+        traces = [exact(xx[edge], yy[edge], 0.3) for edge in edges]
         calls.clear()
         v = np.random.default_rng(3).standard_normal((2, 9, 12))
         got = compute_rhs(v, 0.3, grid, coeffs, bdata, sat, op_x, op_y, dx, dy)
@@ -364,10 +378,9 @@ class TestFusedRhs:
         zero = compute_rhs(v, 0.3, grid, coeffs, BoundaryData.zero(grid), sat,
                            op_x, op_y, dx, dy)
         want = np.zeros_like(v)
-        edges = (np.s_[:, 0, :], np.s_[:, -1, :], np.s_[:, :, 0], np.s_[:, :, -1])
-        coefs = (sat.coef_xmin, sat.coef_xmax, sat.coef_ymin, sat.coef_ymax)
+        coefs = (sat.coef_x[0], sat.coef_x[1], sat.coef_y[:, 0], sat.coef_y[:, 1])
         for edge, coef, (g1, g2) in zip(edges, coefs, traces):
-            want[edge] -= coef * np.stack([g1, g2])
+            want[(slice(None),) + edge] -= coef * np.stack([g1, g2])
         np.testing.assert_allclose(got - zero, want, rtol=0, atol=1e-12)
 
     def test_zero_data_evaluates_nothing(self):
@@ -378,3 +391,69 @@ class TestFusedRhs:
         v = np.random.default_rng(8).standard_normal((2, 8, 10))
         rhs = compute_rhs(v, 0.5, grid, coeffs, bdata, sat, op_x, op_y)
         assert np.isfinite(rhs).all()
+        assert InductionRhs(grid, coeffs, bdata, sat, op_x, op_y).boundary_data(0.5) is None
+
+
+def _counting_exp2_rhs(npx=10, npy=12):
+    """An experiment 2 run whose exact boundary callable records its times."""
+    setup = assemble(experiment2(), study_config("sbp4"), npx, npy)
+    times = []
+
+    def exact(x, y, t):
+        times.append(t)
+        return setup.spec.exact(x, y, t)
+
+    rhs = InductionRhs(setup.grid, setup.coeffs, BoundaryData.from_exact(setup.grid, exact),
+                       setup.sat, setup.op_x, setup.op_y, setup.diss_x, setup.diss_y)
+    return setup, rhs, times
+
+
+class TestAssembledRhs:
+    """One InductionRhs object per run: fresh results, a boundary memo that
+    never goes stale, and the same values as the one-shot compute_rhs."""
+
+    def test_results_are_fresh_arrays(self):
+        setup, rhs, _ = _counting_exp2_rhs()
+        rng = np.random.default_rng(4)
+        va, vb = rng.standard_normal((2,) + setup.v0.data.shape)
+        first = rhs(0.1, va)
+        kept = first.copy()
+        second = rhs(0.2, vb)
+        assert second is not first and not np.shares_memory(first, second)
+        np.testing.assert_array_equal(first, kept)
+        np.testing.assert_array_equal(rhs(0.1, va), kept)
+
+    def test_one_rk4_step_samples_at_most_three_times(self):
+        setup, rhs, times = _counting_exp2_rhs()
+        rk4_step(setup.v0.data, 0.3, 0.01, rhs)
+        assert times == [0.3, 0.3 + 0.5 * 0.01, 0.3 + 0.01]
+
+    def test_rk4_steps_sample_at_most_twice_per_step_plus_one(self):
+        setup, rhs, times = _counting_exp2_rhs()
+        config = IntegratorConfig(t_final=0.6, method="rk4", cfl=0.9)
+        v, steps = integrate(setup.v0.data, config, rhs, t0=0.1,
+                             grid=setup.grid, coeffs=setup.coeffs)
+        assert steps >= 5 and np.isfinite(v).all()
+        # each step's end time is the next step's start, so no time repeats
+        assert len(times) == len(set(times)) == 2 * steps + 1
+
+    def test_memo_is_never_stale(self):
+        setup, rhs, times = _counting_exp2_rhs()
+        v = np.random.default_rng(6).standard_normal(setup.v0.data.shape)
+        r1 = rhs(0.1, v)
+        rhs(0.2, v)
+        again = rhs(0.1, v)
+        assert times == [0.1, 0.2, 0.1]
+        np.testing.assert_array_equal(again, r1)
+        np.testing.assert_array_equal(again, compute_rhs(
+            v, 0.1, setup.grid, setup.coeffs, setup.bdata, setup.sat,
+            setup.op_x, setup.op_y, setup.diss_x, setup.diss_y))
+
+    def test_memoised_data_is_read_only(self):
+        setup, rhs, times = _counting_exp2_rhs()
+        g_x, g_y = rhs.boundary_data(0.4)
+        assert rhs.boundary_data(0.4)[0] is g_x and times == [0.4]
+        for g in (g_x, g_y):
+            assert not g.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                g[0, 0, 0] = 1.0

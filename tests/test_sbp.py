@@ -153,6 +153,13 @@ class TestGrid:
         assert x.shape == grid.shape
         assert x[0, 0] == -1.0 and y[3, -1] == 1.0
 
+    def test_coordinates_computed_once_and_read_only(self):
+        grid = Grid2D(-1.0, 1.0, 0.0, 3.0, 41, 7)
+        for coords, (lo, hi, n) in ((grid.x, (-1.0, 1.0, 41)), (grid.y, (0.0, 3.0, 7))):
+            np.testing.assert_array_equal(coords, np.linspace(lo, hi, n))
+            assert not coords.flags.writeable
+        assert grid.x is grid.x and grid.y is grid.y
+
     @pytest.mark.parametrize("bad", [
         dict(npx=1), dict(npy=0), dict(xmax=-1.0), dict(ymax=0.0),
     ])
@@ -187,3 +194,17 @@ def test_stacked_apply_matches_per_field(order):
         np.testing.assert_array_equal(out, got)
     with pytest.raises(ValueError, match="does not match grid"):
         apply_dx(build_sbp(order, grid.npx), np.zeros((2, 14, 12)), grid)
+
+
+def test_lopsided_interior_stencil_rejected():
+    """The apply pairs the interior nodes symmetrically about the centre, so
+    a row that is neither symmetric nor antisymmetric cannot be applied."""
+    from inductionfd.sbp import SbpOperator1D
+
+    op = build_sbp(2, 9)
+    lopsided = SbpOperator1D(order=2, n=9, p=np.array(op.p),
+                             q_interior=np.array([-0.5, 0.1, 0.4]),
+                             q_closure=np.array(op.q_closure))
+    grid = Grid2D(0.0, 1.0, 0.0, 1.0, 9, 9)
+    with pytest.raises(ValueError, match="neither symmetric nor antisymmetric"):
+        apply_dx(lopsided, np.zeros(grid.shape), grid)

@@ -141,13 +141,15 @@ class TestIntegrate:
 
     def test_zero_t_final_returns_copy(self):
         v0 = np.array([1.0, 2.0])
-        v, records = integrate(
+        calls = []
+        v, steps = integrate(
             v0, IntegratorConfig(t_final=0.0, fixed_dt=0.1), lambda t, v: v,
-            hook=lambda k, t, v: (k, t),
+            hook=lambda k, t, v: calls.append((k, t)),
         )
         np.testing.assert_array_equal(v, v0)
         assert v is not v0
-        assert records == [(0, 0.0)]
+        assert calls == [(0, 0.0)]
+        assert steps == 0
 
     def test_final_step_truncated_to_t_final(self):
         """Hook times run from t0; the rhs sees absolute times, so Heun
@@ -155,10 +157,11 @@ class TestIntegrate:
         for t0 in (0.0, 2.5):
             times = []
             config = IntegratorConfig(t_final=t0 + 1.0, fixed_dt=0.4)
-            v, _ = integrate(
+            v, steps = integrate(
                 np.zeros(1), config, lambda t, v: np.full_like(v, t), t0=t0,
                 hook=lambda k, t, v: times.append(t),
             )
+            assert steps == 3
             np.testing.assert_allclose(times, [t0, t0 + 0.4, t0 + 0.8, t0 + 1.0])
             np.testing.assert_allclose(v, t0 + 0.5, rtol=1e-14)
 
