@@ -33,17 +33,18 @@ _EXAMPLES = """examples:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated CLI parameters for one invocation."""
+    """Validated CLI parameters for one invocation.
+
+    ``scheme`` is resolved: the named scheme (its study variant under
+    ``--study``) with the ``--cfl``, ``--integrator``, ``--dissipation``
+    and ``--theta`` overrides applied.
+    """
 
     experiment: int
-    scheme: str
+    scheme: SchemeConfig
     nx: int
     ny: int
-    cfl: float
     t_final: float | None
-    integrator: str
-    dissipation: str | None
-    theta: float
     out: Path
     dump_every: int
     study: bool
@@ -83,8 +84,9 @@ def _build_parser() -> _Parser:
                         "sbp4 and rk2 for the others)")
     parser.add_argument("--dissipation", choices=DISSIPATION_MODES, default=None,
                         help="override the scheme's dissipation mode")
-    parser.add_argument("--theta", type=float, default=1.0,
-                        help="SAT penalty factor, must be >= 0.5 (default: %(default)s)")
+    parser.add_argument("--theta", type=float, default=None,
+                        help="SAT penalty factor, must be >= 0.5 (default: the "
+                        "scheme's, 1.0)")
     parser.add_argument("--out", type=Path, default=Path("out"),
                         help="output directory (default: %(default)s)")
     parser.add_argument("--dump-every", type=int, default=0, metavar="N",
@@ -97,38 +99,37 @@ def _build_parser() -> _Parser:
 def parse_args(argv) -> RunConfig:
     """Parse and cross-validate CLI flags into a RunConfig.
 
-    ``--cfl`` and ``--integrator`` default to the scheme's own values.
-    Raises SystemExit (caught by main and turned into exit code 1) on
-    unknown flags or inconsistent combinations.
+    The scheme starts from ``--scheme`` (its study variant,
+    ``experiments.study_config``, under ``--study``), and the scheme flags
+    given replace its fields; ``SchemeConfig`` checks them.  Raises
+    SystemExit (caught by main and turned into exit code 1) on unknown
+    flags, invalid values or inconsistent combinations.
     """
     parser = _build_parser()
     ns = parser.parse_args(argv)
-    scheme = SCHEMES[ns.scheme]
-    if ns.dissipation is not None and scheme.dissipation == "upwind" \
+    base = study_config(ns.scheme) if ns.study else scheme_config(ns.scheme)
+    if ns.dissipation is not None and base.dissipation == "upwind" \
             and ns.dissipation != "upwind":
         parser.error(
             f"scheme {ns.scheme} is defined by upwind dissipation; "
             f"--dissipation {ns.dissipation} contradicts it (use sbp2/sbp4 instead)"
         )
-    cfl = scheme.cfl if ns.cfl is None else ns.cfl
-    if not (0 < cfl <= 1):
-        parser.error(f"--cfl must lie in (0, 1], got {cfl}")
-    if ns.theta < 0.5:
-        parser.error(f"--theta must be >= 0.5, got {ns.theta}")
+    flags = {"cfl": ns.cfl, "integrator": ns.integrator,
+             "dissipation": ns.dissipation, "theta": ns.theta}
+    try:
+        scheme = replace(base, **{k: v for k, v in flags.items() if v is not None})
+    except ValueError as exc:
+        parser.error(str(exc))
     if ns.tfinal is not None and ns.tfinal < 0:
         parser.error(f"--tfinal must be nonnegative, got {ns.tfinal}")
     if ns.dump_every < 0:
         parser.error(f"--dump-every must be nonnegative, got {ns.dump_every}")
     return RunConfig(
         experiment=ns.experiment,
-        scheme=ns.scheme,
+        scheme=scheme,
         nx=ns.nx,
         ny=ns.ny,
-        cfl=cfl,
         t_final=ns.tfinal,
-        integrator=scheme.integrator if ns.integrator is None else ns.integrator,
-        dissipation=ns.dissipation,
-        theta=ns.theta,
         out=ns.out,
         dump_every=ns.dump_every,
         study=ns.study,
@@ -200,23 +201,10 @@ def _make_out_dir(out: Path) -> bool:
     return True
 
 
-def _scheme(config: RunConfig) -> SchemeConfig:
-    """The scheme with the CLI's theta, cfl, integrator and dissipation; a
-    study starts from its study variant (experiments.study_config)."""
-    base = study_config(config.scheme) if config.study else scheme_config(config.scheme)
-    return replace(
-        base,
-        theta=config.theta,
-        cfl=config.cfl,
-        integrator=config.integrator,
-        **({"dissipation": config.dissipation} if config.dissipation else {}),
-    )
-
-
 def _run_study(config: RunConfig) -> int:
     # the large-domain hump is studied with its exact boundary trace
     spec = study_spec(get_experiment(config.experiment))
-    scheme = _scheme(config)
+    scheme = config.scheme
     out = config.out
     if not _make_out_dir(out):
         return 1
@@ -233,7 +221,7 @@ def _run_study(config: RunConfig) -> int:
 
 def _run_once(config: RunConfig) -> int:
     spec = get_experiment(config.experiment)
-    scheme = _scheme(config)
+    scheme = config.scheme
     try:
         setup = assemble(spec, scheme, config.nx, config.ny)
     except ValueError as exc:

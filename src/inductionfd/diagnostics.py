@@ -60,7 +60,13 @@ def rel_percent_error(
     """
     xx, yy = grid.meshgrid()
     e1, e2 = exact(xx, yy, t)
-    mag_exact = np.hypot(np.broadcast_to(e1, grid.shape), np.broadcast_to(e2, grid.shape))
+    return percent_error(v, (np.broadcast_to(e1, grid.shape), np.broadcast_to(e2, grid.shape)))
+
+
+def percent_error(v: np.ndarray, exact) -> float:
+    """:func:`rel_percent_error` against the exact field already sampled at
+    the nodes: ``exact`` holds (B1, B2), each of shape (npx, npy)."""
+    mag_exact = np.hypot(exact[0], exact[1])
     denom = np.sqrt(np.sum(mag_exact * mag_exact))
     if denom == 0.0:
         raise ValueError("exact solution is identically zero; relative error undefined")

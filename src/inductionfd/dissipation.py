@@ -100,16 +100,3 @@ def build_dissipation(order: int, scaling: str, alpha: float,
         interior=_frozen(interior),
         h_exponent=0 if scaling == "accurate" else -1,
     )
-
-
-def dense_dissipation(op: DissipationOperator1D, h: float) -> np.ndarray:
-    """Materialize A as a dense (n, n) matrix, mainly for inspection."""
-    n = op.n
-    rows, cols = op.top.shape
-    a = np.zeros((n, n))
-    width = (len(op.interior) - 1) // 2
-    for i in range(rows, n - rows):
-        a[i, i - width : i + width + 1] = op.interior
-    a[:rows, :cols] = op.top
-    a[n - rows :, n - cols :] = op.bot
-    return a * h**op.h_exponent

@@ -27,21 +27,20 @@ from .diagnostics import (
     discrete_divergence,
     l2_norm,
     p_energy,
-    rel_percent_error,
+    percent_error,
 )
-from .dissipation import DissipationOperator1D, build_dissipation
+from .dissipation import build_dissipation
 from .grid import Grid2D
 from .induction import (
     BoundaryData,
     InductionRhs,
     MagneticField,
-    SatConfig,
     VelocityCoeffs,
     make_sat_config,
     sample_velocity,
 )
 from .sbp import SbpOperator1D, build_sbp
-from .timestep import InstabilityError, IntegratorConfig, integrate
+from .timestep import InstabilityError, IntegratorConfig, compute_dt, integrate
 
 DISSIPATION_MODES = ("none", "accurate", "upwind")
 
@@ -59,7 +58,10 @@ class SchemeConfig:
     """Operator order plus dissipation, penalty and integrator choices.
 
     A dissipation mode other than ``none`` adds one term along each axis
-    whose strength is the largest sampled speed |u1| + |u2|.
+    whose strength is the largest sampled speed |u1| + |u2|.  This is the
+    one place that checks the scheme's inputs: theta >= 1/2 keeps the SAT
+    boundary terms of the energy estimate non-positive, and cfl must lie
+    in (0, 1].
     """
 
     name: str
@@ -75,6 +77,10 @@ class SchemeConfig:
                 f"unknown dissipation mode {self.dissipation!r}, "
                 f"expected one of {DISSIPATION_MODES}"
             )
+        if self.theta < 0.5:
+            raise ValueError(f"penalty factor theta must be >= 0.5, got {self.theta}")
+        if not (0 < self.cfl <= 1):
+            raise ValueError(f"cfl must lie in (0, 1], got {self.cfl}")
 
 
 #: ``sbp4`` has no dissipation, so its spectrum lies on or next to the
@@ -145,7 +151,6 @@ class ExperimentSpec:
     boundary_mode: str
     t_final: float
     grids: tuple[int, ...]
-    divergence_free: bool
 
     def make_grid(self, npx: int, npy: int) -> Grid2D:
         return Grid2D(self.xmin, self.xmax, self.ymin, self.ymax, npx, npy)
@@ -191,7 +196,6 @@ def experiment1() -> ExperimentSpec:
         boundary_mode="zero",
         t_final=2.0 * np.pi,
         grids=(40, 80, 160, 320, 640),
-        divergence_free=True,
     )
 
 
@@ -206,7 +210,6 @@ def experiment2() -> ExperimentSpec:
         boundary_mode="exact",
         t_final=2.0 * np.pi,
         grids=(10, 20, 40, 80, 160),
-        divergence_free=True,
     )
 
 
@@ -222,7 +225,6 @@ def experiment3() -> ExperimentSpec:
         boundary_mode="exact",
         t_final=0.5,
         grids=(100,),
-        divergence_free=False,
     )
 
 
@@ -242,9 +244,10 @@ def get_experiment(ident: int) -> ExperimentSpec:
 class RunSetup:
     """Everything needed to advance one (experiment, scheme, grid) run.
 
-    ``diss_x``/``diss_y`` are the scheme's dissipation operators, None
-    without dissipation.  ``rhs`` is the run's assembled tendency, called
-    as ``rhs(t, v)``; every run advances through it.
+    ``rhs`` is the run's assembled tendency, called as ``rhs(t, v)``; every
+    run advances through it, and it owns the boundary data, the SAT
+    penalties and the dissipation operators.  ``coeffs`` gives the CFL
+    step, and ``op_x``/``op_y`` the P-energy and the divergence.
     """
 
     spec: ExperimentSpec
@@ -253,10 +256,6 @@ class RunSetup:
     op_x: SbpOperator1D
     op_y: SbpOperator1D
     coeffs: VelocityCoeffs
-    bdata: BoundaryData
-    sat: SatConfig
-    diss_x: DissipationOperator1D | None
-    diss_y: DissipationOperator1D | None
     v0: MagneticField
     rhs: InductionRhs
 
@@ -287,11 +286,10 @@ def assemble(
         diss_x = build_dissipation(scheme.order, scheme.dissipation, alpha, npx)
         diss_y = diss_x if npy == npx else build_dissipation(
             scheme.order, scheme.dissipation, alpha, npy)
-    v0 = MagneticField.sample(grid, spec.initial)
-    rhs = InductionRhs(grid, coeffs, bdata, sat, op_x, op_y, diss_x, diss_y)
     return RunSetup(
         spec=spec, scheme=scheme, grid=grid, op_x=op_x, op_y=op_y, coeffs=coeffs,
-        bdata=bdata, sat=sat, diss_x=diss_x, diss_y=diss_y, v0=v0, rhs=rhs,
+        v0=MagneticField.sample(grid, spec.initial),
+        rhs=InductionRhs(grid, coeffs, bdata, sat, op_x, op_y, diss_x, diss_y),
     )
 
 
@@ -302,31 +300,30 @@ def run_single(
     hook_every: int = 1,
     t0: float = 0.0,
 ) -> tuple[MagneticField, ErrorRecord]:
-    """Integrate ``setup.v0`` from ``t0`` to ``t_final`` (default: the spec's).
+    """Integrate ``setup.v0`` from ``t0`` to ``t_final`` (default: the spec's)
+    with the scheme's integrator at its CFL step (``compute_dt``).
 
     Returns the final field and its record: relative error, divergence l2
     and P-energy at ``t_final``.  A run has blown up even if every state
     stayed finite when its final error or P-energy is not finite, or when
     its final P-energy exceeds ``ENERGY_LIMIT`` times the larger of the
     P-energies of ``setup.v0`` and of the exact field at ``t_final``; it
-    then raises InstabilityError as a non-finite state does.
+    then raises InstabilityError as a non-finite state does.  The exact
+    field is sampled once, for both the error and that reference.
     """
+    grid, op_x, op_y = setup.grid, setup.op_x, setup.op_y
     config = IntegratorConfig(
         t_final=setup.spec.t_final if t_final is None else t_final,
+        fixed_dt=compute_dt(grid, setup.coeffs, setup.scheme.cfl),
         method=setup.scheme.integrator,
-        cfl=setup.scheme.cfl,
     )
-    grid, op_x, op_y = setup.grid, setup.op_x, setup.op_y
-    v, _ = integrate(
-        setup.v0.data, config, setup.rhs, t0=t0,
-        grid=grid, coeffs=setup.coeffs, hook=hook, hook_every=hook_every,
-    )
+    v, _ = integrate(setup.v0.data, config, setup.rhs, t0=t0,
+                     hook=hook, hook_every=hook_every)
     exact = MagneticField.sample(grid, lambda x, y: setup.spec.exact(x, y, config.t_final))
     reference = max(p_energy(setup.v0.data, grid, op_x, op_y),
                     p_energy(exact.data, grid, op_x, op_y))
-    del exact  # free it before rel_percent_error samples the exact field again
     with np.errstate(over="ignore"):
-        err = rel_percent_error(v, setup.spec.exact, config.t_final, grid)
+        err = percent_error(v, exact.data)
         energy = p_energy(v, grid, op_x, op_y)
     if not (np.isfinite(err) and energy <= ENERGY_LIMIT * reference):
         raise InstabilityError(
@@ -340,7 +337,7 @@ def run_single(
     record = ErrorRecord(
         grid_label=f"{grid.npx}x{grid.npy}",
         error_percent=err,
-        div_l2=l2_norm(discrete_divergence(v, grid, setup.op_x, setup.op_y), grid),
+        div_l2=l2_norm(discrete_divergence(v, grid, op_x, op_y), grid),
         energy=energy,
         time=config.t_final,
     )

@@ -129,10 +129,9 @@ def sat_sigma(u_inward, theta: float = 1.0):
 
     Inflow (u_inward > 0) gets sigma = -theta * u_inward; outflow gets 0.
     Any theta >= 1/2 keeps the boundary terms of the energy estimate
-    non-positive; theta < 1/2 would allow growth and is rejected.
+    non-positive; theta < 1/2 would allow growth, and ``SchemeConfig``
+    rejects it.
     """
-    if theta < 0.5:
-        raise ValueError(f"penalty factor theta must be >= 0.5, got {theta}")
     return -theta * np.maximum(u_inward, 0.0)
 
 

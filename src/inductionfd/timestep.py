@@ -1,4 +1,4 @@
-"""Explicit Runge-Kutta time integration with CFL-based step control."""
+"""Explicit Runge-Kutta time integration and the CFL step."""
 
 from __future__ import annotations
 
@@ -15,7 +15,9 @@ METHODS = ("rk2", "rk4")
 
 class InstabilityError(RuntimeError):
     """Raised when a run blows up: its state stops being finite during
-    integration, or its final error or P-energy is not finite."""
+    integration, its final error or P-energy is not finite, or its final
+    P-energy exceeds ``experiments.ENERGY_LIMIT`` times the larger of its
+    initial and exact final P-energies."""
 
     def __init__(self, message: str, step: int | None = None, time: float | None = None,
                  last_state: np.ndarray | None = None):
@@ -27,32 +29,29 @@ class InstabilityError(RuntimeError):
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Time-integration parameters.
+    """Time-integration parameters: final time, step length and method.
 
-    ``fixed_dt`` overrides the CFL-based step when set.  The final step is
-    always truncated so the integration lands exactly on ``t_final``.
+    ``fixed_dt`` is the step length (``run_single`` passes the scheme's
+    CFL step from :func:`compute_dt`); the final step is truncated so the
+    integration lands exactly on ``t_final``.
     """
 
     t_final: float
+    fixed_dt: float
     method: str = "rk2"
-    cfl: float = 0.45
-    fixed_dt: float | None = None
 
     def __post_init__(self) -> None:
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}, expected one of {METHODS}")
-        if self.t_final < 0:
-            raise ValueError(f"t_final must be nonnegative, got {self.t_final}")
-        if self.fixed_dt is None and not (0 < self.cfl <= 1):
-            raise ValueError(f"cfl must lie in (0, 1], got {self.cfl}")
-        if self.fixed_dt is not None and self.fixed_dt <= 0:
+        if self.fixed_dt <= 0:
             raise ValueError(f"fixed_dt must be positive, got {self.fixed_dt}")
 
 
 def compute_dt(grid: Grid2D, coeffs: VelocityCoeffs, cfl: float = 0.45) -> float:
-    """CFL step dt = cfl / (max|u1|/dx + max|u2|/dy) from the sampled speeds."""
-    if not (0 < cfl <= 1):
-        raise ValueError(f"cfl must lie in (0, 1], got {cfl}")
+    """CFL step dt = cfl / (max|u1|/dx + max|u2|/dy) from the sampled speeds.
+
+    ``cfl`` is not range-checked here; ``SchemeConfig`` validates it.
+    """
     denom = (
         np.max(np.abs(coeffs.lam_x)) / grid.dx + np.max(np.abs(coeffs.lam_y)) / grid.dy
     )
@@ -86,15 +85,12 @@ def integrate(
     rhs: Callable,
     *,
     t0: float = 0.0,
-    grid: Grid2D | None = None,
-    coeffs: VelocityCoeffs | None = None,
     hook: Callable | None = None,
     hook_every: int = 1,
 ) -> tuple[np.ndarray, int]:
     """Advance ``v0`` from ``t0`` to ``config.t_final``; return (final state, steps taken).
 
-    The step size is ``config.fixed_dt`` if given, otherwise the CFL step
-    computed from ``grid`` and ``coeffs``.  Step k runs from
+    Steps have length ``config.fixed_dt``: step k runs from
     t_k = t0 + k*dt to t_{k+1} with length t_{k+1} - t_k, so its last stage
     time is exactly the next step's start time.  ``hook(step, t, v)`` is
     invoked at t0, every ``hook_every`` accepted steps, and at the final
@@ -110,19 +106,14 @@ def integrate(
     if config.t_final == t0:
         return v, 0
 
-    if config.fixed_dt is not None:
-        dt_base = config.fixed_dt
-    else:
-        if grid is None or coeffs is None:
-            raise ValueError("CFL-based stepping needs grid and coeffs")
-        dt_base = compute_dt(grid, coeffs, config.cfl)
+    dt = config.fixed_dt
     stepper = _STEPPERS[config.method]
 
-    n_steps = max(1, int(np.ceil((config.t_final - t0) / dt_base - 1e-12)))
+    n_steps = max(1, int(np.ceil((config.t_final - t0) / dt - 1e-12)))
     t = t0
     for k in range(n_steps):
         last = k == n_steps - 1
-        t_next = config.t_final if last else t0 + (k + 1) * dt_base
+        t_next = config.t_final if last else t0 + (k + 1) * dt
         try:
             v_new = stepper(v, t, t_next - t, rhs)
             finite = np.isfinite(v_new).all()

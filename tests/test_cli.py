@@ -6,6 +6,7 @@ import pytest
 from inductionfd import Grid2D, MagneticField
 from inductionfd.cli import main, parse_args, write_error_table, write_field_dump
 from inductionfd.diagnostics import ErrorRecord
+from inductionfd.experiments import study_config
 
 
 def _read_csv(path):
@@ -19,13 +20,13 @@ class TestParseArgs:
     def test_defaults(self):
         config = parse_args(["--experiment", "1"])
         assert config.experiment == 1
-        assert config.scheme == "sbp2"
+        assert config.scheme.name == "sbp2"
         assert config.nx == 100 and config.ny == 100
-        assert config.cfl == pytest.approx(0.45)
+        assert config.scheme.cfl == pytest.approx(0.45)
         assert config.t_final is None
-        assert config.integrator == "rk2"
-        assert config.dissipation is None
-        assert config.theta == 1.0
+        assert config.scheme.integrator == "rk2"
+        assert config.scheme.dissipation == "none"
+        assert config.scheme.theta == 1.0
         assert config.dump_every == 0
         assert not config.study
 
@@ -36,28 +37,29 @@ class TestParseArgs:
             "--theta", "0.5", "--out", str(tmp_path), "--dump-every", "7",
         ])
         assert config.experiment == 2
-        assert config.scheme == "sbp3"
+        assert config.scheme.name == "sbp3"
         assert (config.nx, config.ny) == (32, 48)
+        assert config.scheme.cfl == pytest.approx(0.3)
         assert config.t_final == pytest.approx(1.5)
-        assert config.integrator == "rk4"
-        assert config.theta == pytest.approx(0.5)
+        assert config.scheme.integrator == "rk4"
+        assert config.scheme.theta == pytest.approx(0.5)
         assert config.out == tmp_path
         assert config.dump_every == 7
 
     def test_sbp4_defaults_to_its_own_integrator_and_cfl(self):
         config = parse_args(["--experiment", "1", "--scheme", "sbp4"])
-        assert config.integrator == "rk4"
-        assert config.cfl == pytest.approx(0.9)
+        assert config.scheme.integrator == "rk4"
+        assert config.scheme.cfl == pytest.approx(0.9)
 
     def test_explicit_flags_override_scheme_defaults(self):
         config = parse_args(["--experiment", "1", "--scheme", "sbp4",
                              "--integrator", "rk2", "--cfl", "0.45"])
-        assert config.integrator == "rk2"
-        assert config.cfl == pytest.approx(0.45)
+        assert config.scheme.integrator == "rk2"
+        assert config.scheme.cfl == pytest.approx(0.45)
         config = parse_args(["--experiment", "1", "--scheme", "sbp2",
                              "--integrator", "rk4", "--cfl", "0.9"])
-        assert config.integrator == "rk4"
-        assert config.cfl == pytest.approx(0.9)
+        assert config.scheme.integrator == "rk4"
+        assert config.scheme.cfl == pytest.approx(0.9)
 
     def test_missing_experiment_raises(self):
         with pytest.raises(SystemExit):
@@ -75,11 +77,15 @@ class TestParseArgs:
             ["--experiment", "1", "--theta", "0.2"],
             ["--experiment", "1", "--tfinal", "-1"],
             ["--experiment", "1", "--dump-every", "-2"],
+            ["--experiment", "1", "--study", "--cfl", "1.5"],
+            ["--experiment", "1", "--study", "--theta", "0.2"],
         ],
     )
-    def test_usage_errors_exit_1(self, argv, capsys):
+    def test_usage_errors_exit_1(self, argv, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)  # the default output directory is ./out
         assert main(argv) == 1
         assert capsys.readouterr().err != ""
+        assert not (tmp_path / "out").exists()
 
     def test_upwind_scheme_conflict_names_alternative(self, capsys):
         assert main(["--experiment", "1", "--scheme", "sbp3",
@@ -89,12 +95,13 @@ class TestParseArgs:
     def test_redundant_upwind_flag_accepted(self):
         config = parse_args(["--experiment", "1", "--scheme", "sbp1",
                              "--dissipation", "upwind"])
-        assert config.dissipation == "upwind"
+        assert config.scheme.dissipation == "upwind"
 
     def test_study_skips_grid_size_check(self):
         config = parse_args(["--experiment", "1", "--scheme", "sbp4",
                              "--nx", "5", "--study"])
         assert config.study
+        assert config.scheme == study_config("sbp4")
 
     def test_too_small_grid_exits_1_before_writing(self, tmp_path, capsys):
         out = tmp_path / "out"

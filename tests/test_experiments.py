@@ -25,6 +25,8 @@ from inductionfd import (
 from inductionfd import experiments
 from inductionfd.experiments import SCHEMES, SchemeConfig, _hump, _rotated_hump
 
+from run_pieces import assert_rhs_applies, run_pieces
+
 
 class TestExactSolutions:
     def test_rotation_starts_from_initial_data(self):
@@ -95,7 +97,6 @@ class TestSpecs:
         assert spec.boundary_mode == "zero"
         assert spec.t_final == pytest.approx(2.0 * np.pi)
         assert spec.grids == (40, 80, 160, 320, 640)
-        assert spec.divergence_free
 
     def test_experiment2_defaults(self):
         spec = experiment2()
@@ -107,7 +108,6 @@ class TestSpecs:
         spec = experiment3()
         assert spec.t_final == 0.5
         assert spec.grids == (100,)
-        assert not spec.divergence_free
         u1, u2 = spec.velocity(np.zeros(3), np.zeros(3))
         np.testing.assert_array_equal(u1, 1.0)
         np.testing.assert_array_equal(u2, 2.0)
@@ -147,6 +147,27 @@ class TestSchemeRegistry:
         with pytest.raises(ValueError, match="dissipation mode"):
             SchemeConfig("bad", order=2, dissipation="hyper")
 
+    @pytest.mark.parametrize("theta", [0.49, 0.0, -1.0])
+    def test_weak_penalty_rejected(self, theta):
+        with pytest.raises(ValueError, match="theta"):
+            scheme_config("sbp2", theta=theta)
+        with pytest.raises(ValueError, match="theta"):
+            SchemeConfig("weak", order=4, theta=theta)
+
+    @pytest.mark.parametrize("cfl", [0.0, -0.1, 1.5])
+    def test_cfl_range(self, cfl):
+        with pytest.raises(ValueError, match="cfl"):
+            scheme_config("sbp4", cfl=cfl)
+        with pytest.raises(ValueError, match="cfl"):
+            SchemeConfig("step", order=2, cfl=cfl)
+
+    # the cfl case of the integrator config's old validation table; the
+    # scheme now owns cfl, so the case is checked on SchemeConfig
+    @pytest.mark.parametrize("kwargs, match", [(dict(cfl=0.0), "cfl")])
+    def test_validation(self, kwargs, match):
+        with pytest.raises(ValueError, match=match):
+            SchemeConfig("sbp2", order=2, **kwargs)
+
 
 class TestStudyVariants:
     def test_plain_order4_gets_safety_damping(self):
@@ -154,8 +175,10 @@ class TestStudyVariants:
         scheme = study_config("sbp4")
         assert scheme == replace(scheme_config("sbp4"), dissipation="accurate")
         setup = assemble(experiment2(), scheme, 12, 12)
-        assert setup.diss_x.scaling == setup.diss_y.scaling == "accurate"
-        assert setup.diss_x.alpha == pytest.approx(setup.coeffs.max_speed)
+        pieces = run_pieces(setup)
+        assert pieces.diss_x.scaling == pieces.diss_y.scaling == "accurate"
+        assert pieces.diss_x.alpha == pytest.approx(setup.coeffs.max_speed)
+        assert_rhs_applies(setup, pieces)
 
     @pytest.mark.parametrize("name", ["sbp1", "sbp2", "sbp3"])
     def test_other_schemes_unchanged(self, name):
@@ -179,23 +202,35 @@ class TestAssemble:
                            match="order-4 operator needs at least 8 points, got 7"):
             assemble(experiment1(), scheme_config("sbp4"), 12, 7)
         # the smallest legal order-4 grid assembles, dissipation included
-        assert assemble(experiment1(), scheme_config("sbp3"), 8, 8).diss_x.n == 8
+        setup = assemble(experiment1(), scheme_config("sbp3"), 8, 8)
+        pieces = run_pieces(setup)
+        assert pieces.diss_x.n == 8
+        assert_rhs_applies(setup, pieces)
 
     def test_alpha_defaults_to_max_speed(self):
         setup = assemble(experiment3(), scheme_config("sbp1"), 12, 12)
-        assert setup.diss_x.alpha == pytest.approx(3.0)  # |u1| + |u2| = 3
+        pieces = run_pieces(setup)
+        assert pieces.diss_x.alpha == pytest.approx(3.0)  # |u1| + |u2| = 3
+        assert_rhs_applies(setup, pieces)
 
     def test_dissipation_override(self):
         setup = assemble(experiment1(), scheme_config("sbp2", dissipation="upwind"),
                          12, 12)
-        assert setup.diss_x.scaling == setup.diss_y.scaling == "upwind"
+        pieces = run_pieces(setup)
+        assert pieces.diss_x.scaling == pieces.diss_y.scaling == "upwind"
+        assert_rhs_applies(setup, pieces)
         setup = assemble(experiment1(), scheme_config("sbp1", dissipation="none"),
                          12, 12)
-        assert setup.diss_x is None and setup.diss_y is None
+        pieces = run_pieces(setup)
+        assert pieces.diss_x is None and pieces.diss_y is None
+        assert_rhs_applies(setup, pieces)
 
     def test_boundary_mode_follows_spec(self):
-        assert assemble(experiment1(), scheme_config("sbp2"), 12, 12).bdata.mode == "zero"
-        assert assemble(experiment2(), scheme_config("sbp2"), 12, 12).bdata.mode == "exact"
+        for spec, mode in ((experiment1(), "zero"), (experiment2(), "exact")):
+            setup = assemble(spec, scheme_config("sbp2"), 12, 12)
+            pieces = run_pieces(setup)
+            assert pieces.bdata.mode == mode
+            assert_rhs_applies(setup, pieces)
 
     def test_rectangular_grid(self):
         setup = assemble(experiment1(), scheme_config("sbp2"), 11, 17)

@@ -54,27 +54,21 @@ class TestComputeDt:
         with pytest.raises(ValueError, match="vanishes"):
             compute_dt(grid, coeffs)
 
-    @pytest.mark.parametrize("cfl", [0.0, -0.1, 1.5])
-    def test_cfl_range(self, cfl):
-        grid = Grid2D(0.0, 1.0, 0.0, 1.0, 5, 5)
-        op = build_sbp(2, 5)
-        coeffs = sample_velocity(lambda x, y: (1.0, 0.0), grid, op, op)
-        with pytest.raises(ValueError, match="cfl"):
-            compute_dt(grid, coeffs, cfl=cfl)
-
 
 class TestConfig:
     def test_defaults(self):
-        config = IntegratorConfig(t_final=1.0)
-        assert config.method == "rk2" and config.cfl == 0.45
+        config = IntegratorConfig(t_final=1.0, fixed_dt=0.1)
+        assert config.method == "rk2" and config.fixed_dt == 0.1
 
+    # the ids are those of the cases the suite reported when the config
+    # also checked t_final and cfl
     @pytest.mark.parametrize(
         "kwargs, match",
         [
-            (dict(t_final=1.0, method="euler"), "unknown method"),
-            (dict(t_final=-1.0), "t_final"),
-            (dict(t_final=1.0, cfl=0.0), "cfl"),
-            (dict(t_final=1.0, fixed_dt=0.0), "fixed_dt"),
+            pytest.param(dict(t_final=1.0, fixed_dt=0.1, method="euler"),
+                         "unknown method", id="kwargs0-unknown method"),
+            pytest.param(dict(t_final=1.0, fixed_dt=0.0), "fixed_dt",
+                         id="kwargs3-fixed_dt"),
         ],
     )
     def test_validation(self, kwargs, match):
@@ -169,6 +163,9 @@ class TestIntegrate:
         config = IntegratorConfig(t_final=1.0, fixed_dt=0.1)
         with pytest.raises(ValueError, match="before the start time"):
             integrate(np.zeros(1), config, lambda t, v: v, t0=2.0)
+        config = IntegratorConfig(t_final=-1.0, fixed_dt=0.1)
+        with pytest.raises(ValueError, match="before the start time"):
+            integrate(np.zeros(1), config, lambda t, v: v)
 
     def test_hook_cadence_and_final_call(self):
         steps = []
@@ -178,10 +175,6 @@ class TestIntegrate:
             hook=lambda k, t, v: steps.append(k), hook_every=2,
         )
         assert steps == [0, 2, 4, 5]
-
-    def test_cfl_path_needs_grid_and_coeffs(self):
-        with pytest.raises(ValueError, match="grid and coeffs"):
-            integrate(np.zeros(1), IntegratorConfig(t_final=1.0), lambda t, v: v)
 
     def test_instability_reports_step_and_last_state(self):
         v0 = np.array([1.0])
@@ -251,9 +244,10 @@ class TestDiscreteEnergy:
             return compute_rhs(v, t, grid, coeffs, bdata, sat, op, op, diss, diss)
 
         energies = []
-        config = IntegratorConfig(t_final=0.5, method="rk2")
+        config = IntegratorConfig(t_final=0.5, method="rk2",
+                                  fixed_dt=compute_dt(grid, coeffs, 0.45))
         integrate(
-            v0, config, rhs, grid=grid, coeffs=coeffs,
+            v0, config, rhs,
             hook=lambda k, t, v: energies.append(p_energy(v, grid, op, op)),
         )
         diffs = np.diff(energies)
