@@ -75,13 +75,15 @@ def _build_parser() -> _Parser:
     parser.add_argument("--ny", type=int, default=100,
                         help="grid points along y (default: %(default)s)")
     parser.add_argument("--cfl", type=float, default=None,
-                        help="CFL number (default: the scheme's, 0.9 for sbp4 "
-                        "and 0.45 for the others)")
+                        help="CFL number in (0, 1]; rk4 without upwind "
+                        "dissipation steps at twice it (default: the scheme's, "
+                        "0.9 for sbp4, 0.7 for sbp3 and 0.45 for the others)")
     parser.add_argument("--tfinal", type=float, default=None,
                         help="final time (default: the experiment's)")
     parser.add_argument("--integrator", choices=METHODS, default=None,
                         help="time integrator (default: the scheme's, rk4 for "
-                        "sbp4 and rk2 for the others)")
+                        "sbp4 and rk2 for the others); rk4 doubles the step of "
+                        "a scheme without upwind dissipation")
     parser.add_argument("--dissipation", choices=DISSIPATION_MODES, default=None,
                         help="override the scheme's dissipation mode")
     parser.add_argument("--theta", type=float, default=None,

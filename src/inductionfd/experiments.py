@@ -40,7 +40,7 @@ from .induction import (
     sample_velocity,
 )
 from .sbp import SbpOperator1D, build_sbp
-from .timestep import InstabilityError, IntegratorConfig, compute_dt, integrate
+from .timestep import METHODS, InstabilityError, IntegratorConfig, compute_dt, integrate
 
 DISSIPATION_MODES = ("none", "accurate", "upwind")
 
@@ -58,10 +58,13 @@ class SchemeConfig:
     """Operator order plus dissipation, penalty and integrator choices.
 
     A dissipation mode other than ``none`` adds one term along each axis
-    whose strength is the largest sampled speed |u1| + |u2|.  This is the
-    one place that checks the scheme's inputs: theta >= 1/2 keeps the SAT
-    boundary terms of the energy estimate non-positive, and cfl must lie
-    in (0, 1].
+    whose strength is the largest sampled speed |u1| + |u2|.  ``cfl``
+    sets the step through :attr:`courant`: RK4 without upwind dissipation
+    steps at an advective Courant number of twice ``cfl``, every other
+    combination at ``cfl`` itself (see ``COURANT_PER_CFL``).  This is the one place
+    that checks the scheme's inputs: theta >= 1/2 keeps the SAT boundary
+    terms of the energy estimate non-positive, cfl must lie in (0, 1],
+    and the integrator must be one of ``timestep.METHODS``.
     """
 
     name: str
@@ -81,16 +84,41 @@ class SchemeConfig:
             raise ValueError(f"penalty factor theta must be >= 0.5, got {self.theta}")
         if not (0 < self.cfl <= 1):
             raise ValueError(f"cfl must lie in (0, 1], got {self.cfl}")
+        if self.integrator not in METHODS:
+            raise ValueError(
+                f"unknown integrator {self.integrator!r}, expected one of {METHODS}"
+            )
 
+    @property
+    def courant(self) -> float:
+        """Advective Courant number of the step: ``cfl`` times the factor
+        of ``COURANT_PER_CFL`` (1 where the table has no entry)."""
+        return COURANT_PER_CFL.get((self.integrator, self.dissipation), 1.0) * self.cfl
+
+
+#: Advective Courant number per unit of ``cfl``, keyed by (integrator,
+#: dissipation); a combination not listed takes ``cfl`` itself.  The
+#: largest stable Courant number c, with max|R(c dt_1 lambda)| <= 1 + 1e-9
+#: over the eigenvalues lambda of the dense operator (dt_1 the Courant-1
+#: step, experiments 1-3 on 20^2 and 40^2), measured 2.06-3.0 for RK4
+#: without upwind dissipation, on both orders, so every cfl in (0, 1]
+#: keeps those runs stable at factor 2.  With upwind dissipation RK4 is
+#: stable only to 0.68 (order 2) and 1.04 (order 4), and RK2 to 0.49
+#: (sbp1) and 0.75 (sbp3), so they keep factor 1.  The spectrum alone is not sufficient
+#: for a non-normal operator (Reddy & Trefethen, Numer. Math. 62, 1992;
+#: Sun & Shu, Ann. Math. Sci. Appl. 2, 2017); long runs to t = 20 check it.
+COURANT_PER_CFL = {("rk4", "none"): 2.0, ("rk4", "accurate"): 2.0}
 
 #: ``sbp4`` has no dissipation, so its spectrum lies on or next to the
 #: imaginary axis.  The two-stage method amplifies such modes
 #: (|1 + z + z^2/2| > 1 there); classical RK4 is stable on the imaginary
-#: axis up to |z| = 2*sqrt(2), so ``sbp4`` runs RK4 at twice the CFL number.
+#: axis up to |z| = 2*sqrt(2), so ``sbp4`` runs RK4 at cfl 0.9, a Courant
+#: number of 1.8.  ``sbp3`` runs RK2 at 0.7, 93 percent of its
+#: measured limit of 0.75; ``sbp1`` and ``sbp2`` run RK2 at 0.45.
 SCHEMES = {
     "sbp1": SchemeConfig("sbp1", order=2, dissipation="upwind"),
     "sbp2": SchemeConfig("sbp2", order=2, dissipation="none"),
-    "sbp3": SchemeConfig("sbp3", order=4, dissipation="upwind"),
+    "sbp3": SchemeConfig("sbp3", order=4, dissipation="upwind", cfl=0.7),
     "sbp4": SchemeConfig("sbp4", order=4, integrator="rk4", cfl=0.9),
 }
 
@@ -112,7 +140,7 @@ def study_config(name: str) -> SchemeConfig:
     The plain order-4 scheme gains accurate-scaled dissipation, which
     keeps its formal order and lowers its fine-grid error where the hump
     crosses the boundary (experiment 2 at 80^2, t = pi/2: 0.0325 percent
-    without, 0.02095 percent with); every other scheme runs exactly as
+    without, 0.02096 percent with); every other scheme runs exactly as
     registered.
     """
     scheme = scheme_config(name)
@@ -301,7 +329,8 @@ def run_single(
     t0: float = 0.0,
 ) -> tuple[MagneticField, ErrorRecord]:
     """Integrate ``setup.v0`` from ``t0`` to ``t_final`` (default: the spec's)
-    with the scheme's integrator at its CFL step (``compute_dt``).
+    with the scheme's integrator at the step ``compute_dt`` gives for the
+    scheme's Courant number (``SchemeConfig.courant``).
 
     Returns the final field and its record: relative error, divergence l2
     and P-energy at ``t_final``.  A run has blown up even if every state
@@ -314,7 +343,7 @@ def run_single(
     grid, op_x, op_y = setup.grid, setup.op_x, setup.op_y
     config = IntegratorConfig(
         t_final=setup.spec.t_final if t_final is None else t_final,
-        fixed_dt=compute_dt(grid, setup.coeffs, setup.scheme.cfl),
+        fixed_dt=compute_dt(grid, setup.coeffs, setup.scheme.courant),
         method=setup.scheme.integrator,
     )
     v, _ = integrate(setup.v0.data, config, setup.rhs, t0=t0,

@@ -31,9 +31,9 @@ class InstabilityError(RuntimeError):
 class IntegratorConfig:
     """Time-integration parameters: final time, step length and method.
 
-    ``fixed_dt`` is the step length (``run_single`` passes the scheme's
-    CFL step from :func:`compute_dt`); the final step is truncated so the
-    integration lands exactly on ``t_final``.
+    ``fixed_dt`` is the step length (``run_single`` passes the step
+    :func:`compute_dt` gives for the scheme's Courant number); the final
+    step is truncated so the integration lands exactly on ``t_final``.
     """
 
     t_final: float
@@ -50,7 +50,11 @@ class IntegratorConfig:
 def compute_dt(grid: Grid2D, coeffs: VelocityCoeffs, cfl: float = 0.45) -> float:
     """CFL step dt = cfl / (max|u1|/dx + max|u2|/dy) from the sampled speeds.
 
-    ``cfl`` is not range-checked here; ``SchemeConfig`` validates it.
+    ``cfl`` is the advective Courant number of the step.  ``run_single``
+    passes ``SchemeConfig.courant``, which is the scheme's cfl times its
+    integrator's factor, so the step returned here is the step taken.
+    It is not range-checked here; ``SchemeConfig`` validates the scheme's
+    cfl.
     """
     denom = (
         np.max(np.abs(coeffs.lam_x)) / grid.dx + np.max(np.abs(coeffs.lam_y)) / grid.dy

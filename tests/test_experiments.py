@@ -9,6 +9,7 @@ from inductionfd import (
     InstabilityError,
     assemble,
     build_sbp,
+    compute_dt,
     discrete_divergence,
     experiment1,
     experiment2,
@@ -131,6 +132,8 @@ class TestSchemeRegistry:
         assert scheme.dissipation == dissipation
         if name == "sbp4":
             assert scheme.cfl == 0.9 and scheme.integrator == "rk4"
+        elif name == "sbp3":
+            assert scheme.cfl == 0.7 and scheme.integrator == "rk2"
         else:
             assert scheme.cfl == 0.45 and scheme.integrator == "rk2"
 
@@ -167,6 +170,33 @@ class TestSchemeRegistry:
     def test_validation(self, kwargs, match):
         with pytest.raises(ValueError, match=match):
             SchemeConfig("sbp2", order=2, **kwargs)
+
+    def test_unknown_integrator_rejected_when_built(self):
+        """The scheme, not a run midway through a study, rejects it."""
+        with pytest.raises(ValueError, match="unknown integrator 'euler'"):
+            scheme_config("sbp2", integrator="euler")
+        with pytest.raises(ValueError, match="integrator"):
+            SchemeConfig("step", order=2, integrator="rk3")
+
+    @pytest.mark.parametrize(
+        "name, overrides, factor",
+        [("sbp1", {}, 1.0), ("sbp2", {}, 1.0), ("sbp3", {}, 1.0),
+         ("sbp4", {}, 2.0), ("sbp4", dict(dissipation="accurate"), 2.0),
+         ("sbp2", dict(integrator="rk4"), 2.0),
+         ("sbp1", dict(integrator="rk4"), 1.0),
+         ("sbp4", dict(integrator="rk2"), 1.0)],
+    )
+    def test_run_steps_at_the_courant_number(self, name, overrides, factor):
+        """RK4 without upwind dissipation steps at twice cfl; every other
+        combination steps at cfl itself, bitwise."""
+        scheme = scheme_config(name, **overrides)
+        assert scheme.courant == factor * scheme.cfl
+        setup = assemble(experiment2(), scheme, 12, 12)
+        dt = factor * compute_dt(setup.grid, setup.coeffs, scheme.cfl)
+        times = []
+        run_single(setup, t_final=0.1, hook=lambda k, t, v: times.append(t))
+        assert times[1] == dt
+        assert len(times) == 1 + int(np.ceil(0.1 / dt - 1e-12))
 
 
 class TestStudyVariants:
