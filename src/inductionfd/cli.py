@@ -77,13 +77,13 @@ def _build_parser() -> _Parser:
     parser.add_argument("--cfl", type=float, default=None,
                         help="CFL number in (0, 1]; rk4 without upwind "
                         "dissipation steps at twice it (default: the scheme's, "
-                        "0.9 for sbp4, 0.7 for sbp3 and 0.45 for the others)")
+                        "0.9 for sbp2 and sbp4, 0.7 for sbp3 and 0.45 for sbp1)")
     parser.add_argument("--tfinal", type=float, default=None,
                         help="final time (default: the experiment's)")
     parser.add_argument("--integrator", choices=METHODS, default=None,
                         help="time integrator (default: the scheme's, rk4 for "
-                        "sbp4 and rk2 for the others); rk4 doubles the step of "
-                        "a scheme without upwind dissipation")
+                        "sbp2 and sbp4 and rk2 for sbp1 and sbp3); rk4 doubles "
+                        "the step of a scheme without upwind dissipation")
     parser.add_argument("--dissipation", choices=DISSIPATION_MODES, default=None,
                         help="override the scheme's dissipation mode")
     parser.add_argument("--theta", type=float, default=None,

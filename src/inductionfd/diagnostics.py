@@ -23,18 +23,20 @@ class ErrorRecord:
     failed: bool = False
 
 
+def p_weights(grid: Grid2D, op_x: SbpOperator1D, op_y: SbpOperator1D) -> np.ndarray:
+    """Diagonal P-norm weights (dx p_x) outer (dy p_y) of a node, shape (npx, npy)."""
+    return np.outer(grid.dx * op_x.p, grid.dy * op_y.p)
+
+
 def p_energy(v: np.ndarray, grid: Grid2D, op_x: SbpOperator1D, op_y: SbpOperator1D) -> float:
     """Discrete energy ||V||^2 in the P norm, summed over both components.
 
-    Computes V^T (I_2 x P_x x P_y) V with the diagonal norm weights of the
-    two operators.  numpy's pairwise summation makes the result
-    deterministic for a fixed shape.
+    Computes V^T (I_2 x P_x x P_y) V with the weights of :func:`p_weights`,
+    the energy that ``integrate`` bounds after every step of a run.
     """
     if v.shape != (2, grid.npx, grid.npy):
         raise ValueError(f"state must have shape (2, {grid.npx}, {grid.npy}), got {v.shape}")
-    wx = grid.dx * op_x.p
-    wy = grid.dy * op_y.p
-    return float(np.sum(v * v * wx[None, :, None] * wy[None, None, :]))
+    return float(np.vdot(v, p_weights(grid, op_x, op_y) * v))
 
 
 def discrete_divergence(

@@ -27,14 +27,6 @@ from .grid import Grid2D
 from .sbp import BandedStencil, SbpOperator1D, apply_dx, apply_dy
 
 
-class NonFiniteStateError(ValueError):
-    """A state handed to :class:`InductionRhs` holds inf or nan entries.
-
-    The time integrator turns it into an ``InstabilityError``: a stage
-    that overflows is a blown-up run, not a usage error.
-    """
-
-
 @dataclass(frozen=True)
 class MagneticField:
     """Two-component field on a grid, stored as an array of shape (2, npx, npy).
@@ -287,8 +279,6 @@ class InductionRhs:
     def __call__(self, t: float, v: np.ndarray) -> np.ndarray:
         if v.shape != self.shape:
             raise ValueError(f"state must have shape {self.shape}, got {v.shape}")
-        if not np.isfinite(v).all():
-            raise NonFiniteStateError("state contains non-finite values")
         v = np.ascontiguousarray(v, dtype=float)
         work = self._work
         rhs = self._dx.apply(v, np.empty(self.shape))

@@ -8,19 +8,16 @@ from typing import Callable
 import numpy as np
 
 from .grid import Grid2D
-from .induction import NonFiniteStateError, VelocityCoeffs
+from .induction import VelocityCoeffs
 
 METHODS = ("rk2", "rk4")
 
 
 class InstabilityError(RuntimeError):
-    """Raised when a run blows up: its state stops being finite during
-    integration, its final error or P-energy is not finite, or its final
-    P-energy exceeds ``experiments.ENERGY_LIMIT`` times the larger of its
-    initial and exact final P-energies."""
+    """A step rejected by the energy bound of :func:`integrate`: ``step`` is
+    that step, ``time`` its start time, ``last_state`` the last accepted state."""
 
-    def __init__(self, message: str, step: int | None = None, time: float | None = None,
-                 last_state: np.ndarray | None = None):
+    def __init__(self, message: str, step: int, time: float, last_state: np.ndarray):
         super().__init__(message)
         self.step = step
         self.time = time
@@ -47,21 +44,21 @@ class IntegratorConfig:
             raise ValueError(f"fixed_dt must be positive, got {self.fixed_dt}")
 
 
-def compute_dt(grid: Grid2D, coeffs: VelocityCoeffs, cfl: float = 0.45) -> float:
-    """CFL step dt = cfl / (max|u1|/dx + max|u2|/dy) from the sampled speeds.
+def compute_dt(grid: Grid2D, coeffs: VelocityCoeffs, courant: float) -> float:
+    """Step dt = courant / (max|u1|/dx + max|u2|/dy) from the sampled speeds.
 
-    ``cfl`` is the advective Courant number of the step.  ``run_single``
+    ``courant`` is the advective Courant number of the step.  ``run_single``
     passes ``SchemeConfig.courant``, which is the scheme's cfl times its
-    integrator's factor, so the step returned here is the step taken.
-    It is not range-checked here; ``SchemeConfig`` validates the scheme's
-    cfl.
+    integrator's factor (up to 2), so the step returned here is the step
+    taken.  It is not range-checked here; ``SchemeConfig`` validates the
+    scheme's cfl.
     """
     denom = (
         np.max(np.abs(coeffs.lam_x)) / grid.dx + np.max(np.abs(coeffs.lam_y)) / grid.dy
     )
     if denom == 0.0:
-        raise ValueError("velocity vanishes everywhere; use a fixed_dt instead of a CFL")
-    return cfl / float(denom)
+        raise ValueError("velocity vanishes everywhere; no advective step exists")
+    return courant / float(denom)
 
 
 def rk2_step(v: np.ndarray, t: float, dt: float, rhs: Callable) -> np.ndarray:
@@ -91,16 +88,21 @@ def integrate(
     t0: float = 0.0,
     hook: Callable | None = None,
     hook_every: int = 1,
+    energy_bound: tuple[np.ndarray | float, float] = (1.0, np.finfo(float).max),
 ) -> tuple[np.ndarray, int]:
     """Advance ``v0`` from ``t0`` to ``config.t_final``; return (final state, steps taken).
 
     Steps have length ``config.fixed_dt``: step k runs from
     t_k = t0 + k*dt to t_{k+1} with length t_{k+1} - t_k, so its last stage
     time is exactly the next step's start time.  ``hook(step, t, v)`` is
-    invoked at t0, every ``hook_every`` accepted steps, and at the final
-    time.  A non-finite state, after a step or inside one of its stages,
-    aborts with an InstabilityError carrying the step index, its start
-    time and the last finite state.
+    invoked at t0, every ``hook_every`` accepted steps, and at the final time.
+
+    This is the one place that decides a run has blown up.  After every
+    step, with ``energy_bound = (weights, limit)``, the new state v has the
+    energy E = sum(weights * v**2); ``not E <= limit``, which nan and inf
+    also satisfy, rejects the step with an InstabilityError whose message
+    gives E / limit and the node of the largest |value|.  The default, unit
+    weights and the largest float, catches overflow.
     """
     if config.t_final < t0:
         raise ValueError(f"t_final {config.t_final} lies before the start time {t0}")
@@ -112,20 +114,22 @@ def integrate(
 
     dt = config.fixed_dt
     stepper = _STEPPERS[config.method]
+    weights, limit = energy_bound
 
     n_steps = max(1, int(np.ceil((config.t_final - t0) / dt - 1e-12)))
     t = t0
     for k in range(n_steps):
         last = k == n_steps - 1
         t_next = config.t_final if last else t0 + (k + 1) * dt
-        try:
-            v_new = stepper(v, t, t_next - t, rhs)
-            finite = np.isfinite(v_new).all()
-        except NonFiniteStateError:  # a stage overflowed inside the RHS
-            finite = False
-        if not finite:
-            raise InstabilityError(f"integration went unstable at step {k + 1} (t={t!r})",
-                                   step=k + 1, time=t, last_state=v)
+        v_new = stepper(v, t, t_next - t, rhs)
+        energy = np.vdot(v_new, weights * v_new)
+        if not energy <= limit:
+            node = np.unravel_index(np.argmax(np.abs(v_new)), v_new.shape)
+            raise InstabilityError(
+                f"integration went unstable at step {k + 1} (t={t!r}): energy "
+                f"{energy:.6g} is {energy / limit:.4g} times the limit {limit:.6g}; "
+                f"largest |value| {abs(v_new[node]):.6g} at node {tuple(map(int, node))}",
+                step=k + 1, time=t, last_state=v)
         v = v_new
         t = t_next
         if hook is not None and ((k + 1) % hook_every == 0 or last):

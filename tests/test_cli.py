@@ -22,9 +22,9 @@ class TestParseArgs:
         assert config.experiment == 1
         assert config.scheme.name == "sbp2"
         assert config.nx == 100 and config.ny == 100
-        assert config.scheme.cfl == pytest.approx(0.45)
+        assert config.scheme.cfl == pytest.approx(0.9)
         assert config.t_final is None
-        assert config.scheme.integrator == "rk2"
+        assert config.scheme.integrator == "rk4"
         assert config.scheme.dissipation == "none"
         assert config.scheme.theta == 1.0
         assert config.dump_every == 0
@@ -56,10 +56,10 @@ class TestParseArgs:
                              "--integrator", "rk2", "--cfl", "0.45"])
         assert config.scheme.integrator == "rk2"
         assert config.scheme.cfl == pytest.approx(0.45)
-        config = parse_args(["--experiment", "1", "--scheme", "sbp2",
-                             "--integrator", "rk4", "--cfl", "0.9"])
+        config = parse_args(["--experiment", "1", "--scheme", "sbp1",
+                             "--integrator", "rk4", "--cfl", "0.3"])
         assert config.scheme.integrator == "rk4"
-        assert config.scheme.cfl == pytest.approx(0.9)
+        assert config.scheme.cfl == pytest.approx(0.3)
 
     def test_missing_experiment_raises(self):
         with pytest.raises(SystemExit):
@@ -191,8 +191,9 @@ class TestSingleRun:
 
 
     def test_overflowing_error_exits_2(self, tmp_path, capsys):
-        """A run that stays finite but whose error and P-energy overflow has
-        blown up; it must not exit 0 reporting ``error inf%``."""
+        """A run whose error and P-energy would overflow by t = 20 has blown
+        up; it exits 2 at the step whose P-energy crosses the limit, and
+        never exits 0 reporting ``error inf%``."""
         with np.errstate(over="ignore"):
             code = main([
                 "--experiment", "3", "--scheme", "sbp4", "--nx", "60", "--ny", "60",
@@ -201,13 +202,13 @@ class TestSingleRun:
             ])
         assert code == 2
         captured = capsys.readouterr()
-        assert "instability" in captured.err and "inf" in captured.err
+        assert "instability" in captured.err and "times the limit" in captured.err
         assert "error inf%" not in captured.out
         assert not (tmp_path / "error_table.csv").exists()
 
     def test_finite_blow_up_exits_2(self, tmp_path, capsys):
-        """The run ends finite with error 1.5e139 percent: its P-energy is far
-        above the limit, so it is an instability, not exit 0."""
+        """The run would end finite with error 1.5e139 percent: its P-energy
+        crosses the limit on the way, so it is an instability, not exit 0."""
         with np.errstate(over="ignore"):
             code = main([
                 "--experiment", "3", "--scheme", "sbp4", "--nx", "30", "--ny", "30",
@@ -216,7 +217,7 @@ class TestSingleRun:
             ])
         assert code == 2
         captured = capsys.readouterr()
-        assert "instability" in captured.err and "times the larger" in captured.err
+        assert "instability" in captured.err and "times the limit" in captured.err
         assert "error" not in captured.out
         assert not (tmp_path / "error_table.csv").exists()
 

@@ -130,7 +130,7 @@ class TestSchemeRegistry:
         scheme = scheme_config(name)
         assert scheme.order == order
         assert scheme.dissipation == dissipation
-        if name == "sbp4":
+        if name in ("sbp2", "sbp4"):
             assert scheme.cfl == 0.9 and scheme.integrator == "rk4"
         elif name == "sbp3":
             assert scheme.cfl == 0.7 and scheme.integrator == "rk2"
@@ -140,7 +140,7 @@ class TestSchemeRegistry:
     def test_overrides(self):
         scheme = scheme_config("sbp2", cfl=0.3, theta=0.5)
         assert scheme.cfl == 0.3 and scheme.theta == 0.5
-        assert SCHEMES["sbp2"].cfl == 0.45
+        assert SCHEMES["sbp2"].cfl == 0.9
 
     def test_unknown_scheme_lists_options(self):
         with pytest.raises(ValueError, match="sbp1.*sbp2.*sbp3.*sbp4"):
@@ -180,7 +180,7 @@ class TestSchemeRegistry:
 
     @pytest.mark.parametrize(
         "name, overrides, factor",
-        [("sbp1", {}, 1.0), ("sbp2", {}, 1.0), ("sbp3", {}, 1.0),
+        [("sbp1", {}, 1.0), ("sbp2", {}, 2.0), ("sbp3", {}, 1.0),
          ("sbp4", {}, 2.0), ("sbp4", dict(dissipation="accurate"), 2.0),
          ("sbp2", dict(integrator="rk4"), 2.0),
          ("sbp1", dict(integrator="rk4"), 1.0),
@@ -305,43 +305,58 @@ class TestRunHarnesses:
         assert all(0.0 < r.time < 50.0 for r in rows)
 
     def test_overflowing_end_state_becomes_failed_row(self):
-        """Without dissipation at CFL 0.8 under rk2 the order-4 scheme ends the
-        run with finite values whose error and P-energy overflow at 40^2; at
-        30^2 they stay finite (error 1.5e139 percent) but the P-energy is far
-        beyond its limit.  run_single reports both as instabilities, so the
-        study records two failed rows."""
+        """Without dissipation at CFL 0.8 under rk2 the order-4 scheme would
+        end the run at t = 20 with an overflowing error and P-energy at 40^2
+        and with error 1.5e139 percent at 30^2.  The P-energy crosses its
+        limit long before, so run_single raises at that step and the study
+        records two failed rows with their onset times."""
         scheme = scheme_config("sbp4", cfl=0.8, dissipation="none", integrator="rk2")
-        with np.errstate(over="ignore"):
-            with pytest.raises(InstabilityError, match="inf") as excinfo:
-                run_single(assemble(experiment3(), scheme, 40, 40), t_final=20.0)
-            results = run_convergence_study(
-                experiment3(), [scheme], grids=(30, 40), t_final=20.0
-            )
+        with pytest.raises(InstabilityError, match="times the limit") as excinfo:
+            run_single(assemble(experiment3(), scheme, 40, 40), t_final=20.0)
+        results = run_convergence_study(
+            experiment3(), [scheme], grids=(30, 40), t_final=20.0
+        )
         err = excinfo.value
-        assert err.time == 20.0 and np.isfinite(err.last_state).all()
+        assert 0.0 < err.time < 20.0 and np.isfinite(err.last_state).all()
         rows = results["sbp4"]
         assert [r.failed for r in rows] == [True, True]
-        assert [r.time for r in rows] == [20.0, 20.0]
+        assert all(0.0 < r.time < 20.0 for r in rows)
+        assert rows[1].time == err.time
 
     def test_finite_blow_up_raises(self):
-        """A run that ends finite but far above the energy limit has blown up."""
+        """A run that would end finite but far above the energy limit raises
+        at the first step above it; the last accepted state is within it
+        (10 times the exact final P-energy 8, the larger reference)."""
         scheme = scheme_config("sbp4", cfl=0.8, dissipation="none", integrator="rk2")
         setup = assemble(experiment3(), scheme, 30, 30)
-        with np.errstate(over="ignore"), \
-                pytest.raises(InstabilityError, match="times the larger") as excinfo:
+        with pytest.raises(InstabilityError, match="times the limit 80;") as excinfo:
             run_single(setup, t_final=20.0)
         err = excinfo.value
-        assert err.time == 20.0 and np.isfinite(err.last_state).all()
-        assert p_energy(err.last_state, setup.grid, setup.op_x, setup.op_y) > 1e200
+        assert 0.0 < err.time < 20.0 and np.isfinite(err.last_state).all()
+        assert 8.0 < p_energy(err.last_state, setup.grid, setup.op_x, setup.op_y) <= 80.0
+
+    def test_default_scheme_under_rk2_raises_at_onset(self):
+        """sbp2 pinned to rk2 at cfl 0.45 grows by up to 1.0035 per step on
+        the translated step; the run to t = 20 raises at step 2319, t = 4.40,
+        when its P-energy first crosses 10 times the exact value 8."""
+        scheme = scheme_config("sbp2", integrator="rk2", cfl=0.45)
+        with pytest.raises(InstabilityError, match=r"1\.00\d+ times the limit 80;") \
+                as excinfo:
+            run_single(assemble(experiment3(), scheme, 80, 80), t_final=20.0)
+        err = excinfo.value
+        assert 0.0 < err.time < 20.0
+        assert err.step == 2319 and err.time == pytest.approx(4.40, abs=0.01)
 
     def test_energy_limit_scales_the_reference_energy(self, monkeypatch):
         """A regular run passes, and fails once the limit is below its ratio
-        of final to reference P-energy (at most 1 without inflow data)."""
+        of P-energy to reference (at most 1 without inflow data): at the
+        first step, since the bound holds after every step."""
         setup = assemble(experiment1(), scheme_config("sbp2"), 12, 12)
         run_single(setup, t_final=0.1)
         monkeypatch.setattr(experiments, "ENERGY_LIMIT", 0.5)
-        with pytest.raises(InstabilityError, match=r"limit 0\.5"):
+        with pytest.raises(InstabilityError, match="times the limit") as excinfo:
             run_single(setup, t_final=0.1)
+        assert excinfo.value.step == 1
 
     def test_long_time_records_each_rotation(self):
         records = run_long_time(experiment1(), scheme_config("sbp2"), 20, 20, 2)
@@ -354,14 +369,15 @@ class TestRunHarnesses:
 
     def test_long_time_blow_up_raises_at_absolute_time(self):
         """Without dissipation at CFL 0.6 under rk2 the order-4 scheme on 10^2
-        ends the first rotation with 1.2 times its reference P-energy and the
-        second with thousands of times; every rotation is one run_single, so
-        the long-time run raises at t = 4 pi."""
+        ends the first rotation with 1.2 times its reference P-energy and
+        would end the second with thousands of times; every rotation is one
+        run_single, so the long-time run raises inside the second rotation,
+        at its time counted from t = 0."""
         scheme = scheme_config("sbp4", cfl=0.6, dissipation="none", integrator="rk2")
-        with np.errstate(over="ignore"), pytest.raises(InstabilityError) as excinfo:
+        with pytest.raises(InstabilityError) as excinfo:
             run_long_time(experiment3(), scheme, 10, 10, 3)
         err = excinfo.value
-        assert err.time == 4.0 * np.pi
+        assert 2.0 * np.pi < err.time < 4.0 * np.pi
         assert np.isfinite(err.last_state).all()
 
     def test_later_start_reports_absolute_time(self):

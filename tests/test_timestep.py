@@ -44,7 +44,7 @@ class TestComputeDt:
         grid = Grid2D(0.0, 1.0, 0.0, 2.0, 11, 11)  # dx = 0.1, dy = 0.2
         op = build_sbp(2, 11)
         coeffs = sample_velocity(lambda x, y: (3.0, -4.0), grid, op, op)
-        dt = compute_dt(grid, coeffs, cfl=0.45)
+        dt = compute_dt(grid, coeffs, courant=0.45)
         assert dt == pytest.approx(0.45 / (3.0 / 0.1 + 4.0 / 0.2))
 
     def test_zero_velocity_rejected(self):
@@ -52,7 +52,7 @@ class TestComputeDt:
         op = build_sbp(2, 5)
         coeffs = sample_velocity(lambda x, y: (0.0, 0.0), grid, op, op)
         with pytest.raises(ValueError, match="vanishes"):
-            compute_dt(grid, coeffs)
+            compute_dt(grid, coeffs, 1.0)
 
 
 class TestConfig:
@@ -188,8 +188,8 @@ class TestIntegrate:
             np.testing.assert_array_equal(err.last_state, v0)
 
     def test_stage_overflow_becomes_instability(self):
-        """A stage whose state overflows inside compute_rhs is an instability
-        of the run, reported with its step, time and last finite state."""
+        """A step whose stages overflow is an instability of the run,
+        reported with its step, time and last accepted state."""
         setup = assemble(experiment3(), scheme_config("sbp1"), 40, 40)
         config = IntegratorConfig(t_final=50.0, fixed_dt=0.05)
         with pytest.raises(InstabilityError) as excinfo, \
@@ -200,9 +200,23 @@ class TestIntegrate:
         assert err.time == pytest.approx((err.step - 1) * 0.05)
         assert err.last_state.shape == (2, 40, 40)
         assert np.isfinite(err.last_state).all()
-        # called directly, compute_rhs still rejects the state as bad input
-        with pytest.raises(ValueError, match="non-finite"):
-            setup.rhs(0.0, np.full((2, 40, 40), np.inf))
+
+    def test_energy_bound_rejects_first_step_above_limit(self):
+        """dV/dt = V grows by r = 1 + dt + dt^2/2 per Heun step, so the
+        weighted energy 2 r^(2k) first exceeds 20 at step 3, where it is
+        36.8, 1.841 times the limit; the hook never sees that state."""
+        r = 1.625  # dt = 0.5
+        seen = []
+        config = IntegratorConfig(t_final=5.0, fixed_dt=0.5)
+        with pytest.raises(InstabilityError, match=r"1\.841 times the limit 20;.* "
+                           r"at node \(0,\)") as excinfo:
+            integrate(np.array([1.0, 0.0]), config, lambda t, v: v,
+                      hook=lambda k, t, v: seen.append(k),
+                      energy_bound=(np.array([2.0, 1.0]), 20.0))
+        err = excinfo.value
+        assert (err.step, err.time) == (3, 1.0)
+        np.testing.assert_allclose(err.last_state, [r * r, 0.0], rtol=1e-15)
+        assert seen == [0, 1, 2]
 
     def test_integration_error_converges_second_order(self):
         """Global Heun error vs exp(M t) shrinks 4x when dt halves."""
