@@ -83,7 +83,10 @@ def _build_parser() -> _Parser:
     parser.add_argument("--integrator", choices=METHODS, default=None,
                         help="time integrator (default: the scheme's, rk4 for "
                         "sbp2 and sbp4 and rk2 for sbp1 and sbp3); rk4 doubles "
-                        "the step of a scheme without upwind dissipation")
+                        "the step of a scheme without upwind dissipation.  An "
+                        "override keeps the scheme's cfl, which is tuned for "
+                        "its registered integrator: --integrator rk2 runs sbp2 "
+                        "at Courant 0.9, above its rk2 limit; pass --cfl too")
     parser.add_argument("--dissipation", choices=DISSIPATION_MODES, default=None,
                         help="override the scheme's dissipation mode")
     parser.add_argument("--theta", type=float, default=None,

@@ -135,8 +135,8 @@ def build_sbp(order: int, n: int) -> SbpOperator1D:
 
 
 class BandedStencil:
-    """A banded 1D operator along one axis of arrays (..., npx, npy), with
-    every constant of its application computed once.
+    """A banded 1D operator along one axis of arrays (fields, npx, npy),
+    with every constant of its application computed once.
 
     ``scale`` multiplies the operator's tables: the grid-spacing power,
     and any sign the caller folds in.  The interior row is split into its
@@ -147,16 +147,24 @@ class BandedStencil:
     coefficients and the total by the innermost one, so the apply needs
     no scratch array.  In C order a shift along either of the last two
     axes is a shift of the flat array by that axis's stride, so the
-    interior runs on contiguous flat slices for both axes and any stacked
-    leading axes.  The flat range also covers nodes whose stencil wraps
+    interior runs on contiguous flat slices for both axes and all fields.  The flat range also covers nodes whose stencil wraps
     into the next line; those are exactly the closure nodes, which the
     closure blocks overwrite afterwards (every stencil half-width is at
     most the closure size).  The closure blocks are stored scaled and
     contiguous, transposed along y, so each is one matmul.
+
+    An apply can be limited to a range of rows, lines of npy nodes of the
+    array viewed as (-1, npy), so that a caller can run several operators
+    on one cache-sized strip before it moves on.  A strip takes the
+    interior of its rows from the flat slices and its closure rows (along
+    x) or columns (along y) from the same matmul blocks, and every node
+    gets the arithmetic of the full apply, bit for bit.  What a row range
+    needs (the flat interior bounds, the closure products) is worked out
+    on its first apply and kept.
     """
 
     def __init__(self, op, axis: int, scale: float, shape: tuple[int, int]):
-        """``axis`` is -2 (x) or -1 (y) of arrays whose last two axes are ``shape``."""
+        """``axis`` is -2 (x) or -1 (y) of arrays (fields, *shape)."""
         n = shape[axis]
         if op.n != n:
             raise ValueError(f"operator built for {op.n} points, grid has "
@@ -180,44 +188,115 @@ class BandedStencil:
         if axis == -1:
             top, bot = top.T, bot.T
         self.axis = axis
-        self.n = n
-        self.rows, self.cols = op.top.shape
-        self.lo = self.rows * stride
+        self.shape = shape
+        self.lo = op.top.shape[0] * stride
         self.first = terms[0][1:] if terms else None
         self.steps = tuple((outer[0] / inner[0],) + inner[1:]
                            for outer, inner in zip(terms, terms[1:]))
         self.last = terms[-1][0] if terms else 0.0
         self.top = np.ascontiguousarray(top)
         self.bot = np.ascontiguousarray(bot)
+        self._plans = {}
 
-    def apply(self, f: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Write the operator applied to ``f`` into ``out`` and return ``out``;
-        both are C-contiguous float arrays of one shape (..., npx, npy)."""
+    def apply(self, f: np.ndarray, out: np.ndarray, start: int = 0,
+              stop: int | None = None) -> np.ndarray:
+        """Write the operator applied to ``f`` into rows ``start:stop`` of
+        ``out`` and return ``out``; both are C-contiguous float arrays of one
+        shape (fields, npx, npy).
+
+        A row is one line of npy nodes of the array viewed as (-1, npy), so
+        a row range runs through the fields in order; the default is every
+        row.  Rows outside the range are left as they are.
+        """
+        key = (start, stop, f.size)
+        plan = self._plans.get(key)
+        if plan is None:
+            plan = self._plans[key] = self._plan(start, stop, f.size)
+        lo, hi, products = plan
         flat, acc = f.reshape(-1), out.reshape(-1)
-        lo, hi = self.lo, f.size - self.lo
-        dst = acc[lo:hi]
-        if self.first is None:
-            dst[...] = 0.0
-        else:
-            shift, combine = self.first
-            if combine is None:
-                dst[...] = flat[lo:hi]
+        if lo < hi:
+            dst = acc[lo:hi]
+            if self.first is None:
+                dst[...] = 0.0
             else:
-                combine(flat[lo + shift : hi + shift], flat[lo - shift : hi - shift], out=dst)
-            for ratio, shift, combine in self.steps:
-                dst *= ratio
-                dst += flat[lo + shift : hi + shift]
-                if combine is not None:
-                    combine(dst, flat[lo - shift : hi - shift], out=dst)
-            dst *= self.last
-        n, rows, cols = self.n, self.rows, self.cols
-        if self.axis == -2:
-            np.matmul(self.top, f[..., :cols, :], out=out[..., :rows, :])
-            np.matmul(self.bot, f[..., n - cols :, :], out=out[..., n - rows :, :])
-        else:
-            np.matmul(f[..., :cols], self.top, out=out[..., :rows])
-            np.matmul(f[..., n - cols :], self.bot, out=out[..., n - rows :])
+                shift, combine = self.first
+                if combine is None:
+                    dst[...] = flat[lo:hi]
+                else:
+                    combine(flat[lo + shift : hi + shift], flat[lo - shift : hi - shift],
+                            out=dst)
+                for ratio, shift, combine in self.steps:
+                    dst *= ratio
+                    dst += flat[lo + shift : hi + shift]
+                    if combine is not None:
+                        combine(dst, flat[lo - shift : hi - shift], out=dst)
+                dst *= self.last
+        along_x = self.axis == -2
+        for block, src, into, pick in products:
+            product = (block, f[src]) if along_x else (f[src], block)
+            if pick is None:
+                np.matmul(*product, out=out[into])
+            else:
+                out[into] = np.matmul(*product)[:, pick]
         return out
+
+    def _plan(self, start: int, stop: int | None, size: int) -> tuple:
+        """(lo, hi, products) of an apply to rows ``start:stop`` of arrays
+        of ``size`` nodes: the flat interior range and, per closure
+        product, its block, the index of its other factor in f, the index
+        of its rows in out and the rows of the product to keep.  BLAS
+        computes a one-row product with gemv, which sums in another order
+        than the gemm of the full apply, so such a row is computed as two
+        and one is kept.
+        """
+        npx, npy = self.shape
+        if stop is None:
+            stop = size // npy
+        lo, hi = max(start * npy, self.lo), min(stop * npy, size - self.lo)
+        along_x = self.axis == -2
+        n = self.shape[self.axis]
+        rows, cols = self.top.shape if along_x else self.top.shape[::-1]
+        products = []
+        for fields, a, b in _field_pieces(start, stop, npx):
+            for block, first, take in ((self.top, 0, slice(0, cols)),
+                                       (self.bot, n - rows, slice(n - cols, n))):
+                if along_x:
+                    i, j = max(a - first, 0), min(b - first, rows)
+                    if i < j:
+                        computed, pick = _one_row_as_two(i, j, rows)
+                        products.append((block[computed], (fields, take),
+                                         (fields, slice(first + i, first + j)), pick))
+                else:
+                    computed, pick = _one_row_as_two(a, b, npx)
+                    products.append((block, (fields, computed, take),
+                                     (fields, slice(a, b), slice(first, first + rows)), pick))
+        return lo, hi, products
+
+
+def _one_row_as_two(i: int, j: int, total: int) -> tuple[slice, slice | None]:
+    """Rows to compute for rows i..j of a product with ``total`` rows, and
+    the rows to pick from the result (None: all of them).  A single row of
+    a taller product is computed together with a neighbour."""
+    if j - i == 1 and total > 1:
+        w = min(i, total - 2)
+        return slice(w, w + 2), slice(i - w, j - w)
+    return slice(i, j), None
+
+
+def _field_pieces(start: int, stop: int, npx: int):
+    """Split rows ``start:stop`` of a stack of fields with ``npx`` rows each
+    into (fields, a, b): rows a..b of every field in the slice ``fields``.
+    A run of whole fields is one piece."""
+    while start < stop:
+        k, a = divmod(start, npx)
+        whole = (stop - start) // npx if a == 0 else 0
+        if whole:
+            yield slice(k, k + whole), 0, npx
+            start += whole * npx
+        else:
+            b = min(npx, a + stop - start)
+            yield slice(k, k + 1), a, b
+            start += b - a
 
 
 def _apply(op, f: np.ndarray, grid: Grid2D, axis: int, h: float,
@@ -229,7 +308,10 @@ def _apply(op, f: np.ndarray, grid: Grid2D, axis: int, h: float,
         out = np.empty(f.shape)
     elif out.shape != f.shape or not out.flags.c_contiguous:
         raise ValueError(f"out must be a C-contiguous array of shape {f.shape}")
-    return BandedStencil(op, axis, h**op.h_exponent, grid.shape).apply(f, out)
+    fields = (-1,) + grid.shape
+    BandedStencil(op, axis, h**op.h_exponent, grid.shape).apply(f.reshape(fields),
+                                                                 out.reshape(fields))
+    return out
 
 
 def apply_dx(op, f: np.ndarray, grid: Grid2D, out: np.ndarray | None = None) -> np.ndarray:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from inductionfd import induction
 from inductionfd import (
     BoundaryData,
     Grid2D,
@@ -448,3 +449,73 @@ class TestAssembledRhs:
             assert not g.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 g[0, 0, 0] = 1.0
+
+
+class TestStrips:
+    """InductionRhs applies every term to one strip of whole rows at a
+    time; any cut must give the one-strip result bit for bit."""
+
+    @pytest.mark.parametrize("npx, npy", [(9, 13), (23, 17), (240, 200)])
+    @pytest.mark.parametrize("length", [1, 5, 64])
+    def test_strip_layout(self, monkeypatch, npx, npy, length):
+        monkeypatch.setattr(induction, "STRIP_NODES", length * npy)
+        strips = induction._strips(npx, npy)
+        if npx <= length:
+            assert strips == [((slice(0, 2), slice(0, npx)), 0, 2 * npx)]
+            return
+        # the fewest consecutive strips of at most ``length`` rows, each
+        # inside one component
+        starts = [start for _, start, _ in strips]
+        stops = [stop for _, _, stop in strips]
+        assert starts == [0] + stops[:-1] and stops[-1] == 2 * npx
+        assert len(strips) == 2 * -(-npx // length)
+        for node, start, stop in strips:
+            c = start // npx
+            assert 0 < stop - start <= length and stop <= (c + 1) * npx
+            assert node == (slice(c, c + 1), slice(start - c * npx, stop - c * npx))
+
+    @pytest.mark.parametrize("scheme", _SCHEMES,
+                             ids=["sbp1", "sbp2", "sbp3", "sbp4", "sbp4-study"])
+    @pytest.mark.parametrize("npx, npy", [(9, 13), (14, 10), (23, 17)])
+    def test_forced_strips_match_one_strip_and_dense_oracle(self, monkeypatch, scheme,
+                                                            npx, npy):
+        rng = np.random.default_rng(npx + npy)
+        v = rng.standard_normal((2, npx, npy))
+        one = {}
+        for spec in (experiment2(), experiment1()):
+            setup = assemble(spec, scheme, npx, npy)
+            assert len(setup.rhs._strips) == 1
+            one[spec.id] = setup.rhs(0.4, v)
+        # experiment 1 has zero boundary data: its RHS is the matrix times V
+        matrix = dense_rhs_matrix(setup.grid, scheme.order, setup.spec.velocity,
+                                  theta=scheme.theta, dissipation=scheme.dissipation,
+                                  alpha=setup.coeffs.max_speed)
+        dense = (matrix @ v.ravel()).reshape(v.shape)
+        np.testing.assert_allclose(one[1], dense, rtol=0, atol=1e-13)
+        cuts = set()
+        for length in (1, 2, 3, 5):
+            monkeypatch.setattr(induction, "STRIP_NODES", length * npy)
+            cuts.update(start % npx for _, start, _ in induction._strips(npx, npy))
+            for spec in (experiment1(), experiment2()):
+                rhs = assemble(spec, scheme, npx, npy).rhs
+                assert len(rhs._strips) > 2
+                got = rhs(0.4, v)
+                np.testing.assert_array_equal(got, one[spec.id])
+                if spec.id == 1:
+                    np.testing.assert_allclose(got, dense, rtol=0, atol=1e-13)
+        # strips start at the component boundary and inside both x-closures
+        assert 0 in cuts
+        if scheme.order == 4:
+            assert cuts & {1, 2, 3} and cuts & {npx - 3, npx - 2, npx - 1}
+
+    def test_real_strips_match_one_strip(self, monkeypatch):
+        """Experiment 2 at 240 x 200 is cut with the module's own strip size."""
+        v = np.random.default_rng(24).standard_normal((2, 240, 200))
+        scheme = scheme_config("sbp3")
+        rhs = assemble(experiment2(), scheme, 240, 200).rhs
+        assert len(rhs._strips) > 2
+        got = rhs(0.7, v)
+        monkeypatch.setattr(induction, "STRIP_NODES", 240 * 200)
+        one = assemble(experiment2(), scheme, 240, 200).rhs
+        assert len(one._strips) == 1
+        np.testing.assert_array_equal(got, one(0.7, v))

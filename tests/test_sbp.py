@@ -11,7 +11,7 @@ from inductionfd import (
     build_sbp,
     verify_sbp,
 )
-from inductionfd.sbp import EXACT_DEGREE
+from inductionfd.sbp import EXACT_DEGREE, BandedStencil
 
 from dense_oracle import dense_d, dense_p, dense_q
 
@@ -194,6 +194,35 @@ def test_stacked_apply_matches_per_field(order):
         np.testing.assert_array_equal(out, got)
     with pytest.raises(ValueError, match="does not match grid"):
         apply_dx(build_sbp(order, grid.npx), np.zeros((2, 14, 12)), grid)
+
+
+@pytest.mark.parametrize("order", [2, 4])
+def test_row_range_apply_matches_full_apply(order):
+    """Consecutive row ranges of a stack of fields give the full apply bit
+    for bit, along both axes, for derivative and dissipation operators,
+    with ranges cut inside the closures and across the fields; rows
+    outside a range are not written."""
+    rng = np.random.default_rng(17)
+    shape = (14, 11)
+    stack = rng.normal(size=(3,) + shape)
+    rows = stack.shape[0] * shape[0]
+    ops = (
+        (-2, build_sbp(order, shape[0])),
+        (-1, build_sbp(order, shape[1])),
+        (-2, build_dissipation(order, "upwind", 0.8, shape[0])),
+        (-1, build_dissipation(order, "accurate", 2.5, shape[1])),
+    )
+    for axis, op in ops:
+        stencil = BandedStencil(op, axis, 0.7, shape)
+        full = stencil.apply(stack, np.empty_like(stack))
+        for length in (1, 2, 3, 5):
+            out = np.full_like(stack, np.nan)
+            for start in range(0, rows, length):
+                stop = min(start + length, rows)
+                assert stencil.apply(stack, out, start, stop) is out
+                flat = out.reshape(rows, -1)
+                assert np.isnan(flat[stop:]).all()
+            np.testing.assert_array_equal(out, full)
 
 
 def test_lopsided_interior_stencil_rejected():
