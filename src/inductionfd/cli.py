@@ -76,17 +76,20 @@ def _build_parser() -> _Parser:
                         help="grid points along y (default: %(default)s)")
     parser.add_argument("--cfl", type=float, default=None,
                         help="CFL number in (0, 1]; rk4 without upwind "
-                        "dissipation steps at twice it (default: the scheme's, "
-                        "0.9 for sbp2 and sbp4, 0.7 for sbp3 and 0.45 for sbp1)")
+                        "dissipation and ssp32 with it step at twice it "
+                        "(default: the scheme's, 0.9 for sbp2 and sbp4, 0.7 for "
+                        "sbp3 and 0.45 for sbp1)")
     parser.add_argument("--tfinal", type=float, default=None,
                         help="final time (default: the experiment's)")
     parser.add_argument("--integrator", choices=METHODS, default=None,
                         help="time integrator (default: the scheme's, rk4 for "
-                        "sbp2 and sbp4 and rk2 for sbp1 and sbp3); rk4 doubles "
-                        "the step of a scheme without upwind dissipation.  An "
-                        "override keeps the scheme's cfl, which is tuned for "
-                        "its registered integrator: --integrator rk2 runs sbp2 "
-                        "at Courant 0.9, above its rk2 limit; pass --cfl too")
+                        "sbp2 and sbp4, ssp32 (three-stage SSP RK2) for sbp3 "
+                        "and rk2 for sbp1); rk4 doubles the step of a scheme "
+                        "without upwind dissipation, ssp32 that of one with "
+                        "it.  An override keeps the scheme's cfl, which is "
+                        "tuned for its registered integrator: --integrator rk2 "
+                        "runs sbp2 at Courant 0.9, above its rk2 limit; pass "
+                        "--cfl too")
     parser.add_argument("--dissipation", choices=DISSIPATION_MODES, default=None,
                         help="override the scheme's dissipation mode")
     parser.add_argument("--theta", type=float, default=None,

@@ -51,6 +51,8 @@ DISSIPATION_MODES = ("none", "accurate", "upwind")
 #: 2017): 144 regular runs (experiments 1, 1 with exact data, 2 and 3;
 #: sbp1-sbp4 as registered; 10, 20 and 40 squared grids; t = 0.5, 1, 2)
 #: peaked at a per-step ratio of 1.98, while blown-up runs grow unbounded.
+#: The 36 sbp3 runs of that sweep, run again under SSPRK(3,2) at Courant
+#: 1.4, peak at 1.93 (experiment 2, 40^2, t = 2), as under RK2 at 0.7.
 ENERGY_LIMIT = 10.0
 
 
@@ -61,11 +63,13 @@ class SchemeConfig:
     A dissipation mode other than ``none`` adds one term along each axis
     whose strength is the largest sampled speed |u1| + |u2|.  ``cfl``
     sets the step through :attr:`courant`: RK4 without upwind dissipation
-    steps at an advective Courant number of twice ``cfl``, every other
-    combination at ``cfl`` itself (see ``COURANT_PER_CFL``).  This is the one place
+    and SSPRK(3,2) with it step at an advective Courant number of twice
+    ``cfl``, every other combination at ``cfl`` itself (see
+    ``COURANT_PER_CFL``).  This is the one place
     that checks the scheme's inputs: theta >= 1/2 keeps the SAT boundary
     terms of the energy estimate non-positive, cfl must lie in (0, 1],
-    and the integrator must be one of ``timestep.METHODS``.
+    and the integrator must be one of ``timestep.METHODS`` (``rk2``,
+    ``rk4`` or ``ssp32``).
     """
 
     name: str
@@ -103,23 +107,32 @@ class SchemeConfig:
 #: over the eigenvalues lambda of the dense operator (dt_1 the Courant-1
 #: step, experiments 1-3 on 20^2 and 40^2), measured 2.06-3.0 for RK4
 #: without upwind dissipation, on both orders, so every cfl in (0, 1]
-#: keeps those runs stable at factor 2.  With upwind dissipation RK4 is
-#: stable only to 0.68 (order 2) and 1.04 (order 4), and RK2 to 0.49
-#: (sbp1) and 0.75 (sbp3), so they keep factor 1.  The spectrum alone is not sufficient
-#: for a non-normal operator (Reddy & Trefethen, Numer. Math. 62, 1992;
-#: Sun & Shu, Ann. Math. Sci. Appl. 2, 2017); long runs to t = 20 check it.
-COURANT_PER_CFL = {("rk4", "none"): 2.0, ("rk4", "accurate"): 2.0}
+#: keeps those runs stable at factor 2.  With upwind dissipation the
+#: spectrum fills a disk in the left half-plane: RK4 is stable only to 0.68
+#: (order 2) and 1.04 (order 4), and RK2 to 0.49 (sbp1) and 0.75-0.945
+#: (sbp3), so they keep factor 1, while SSPRK(3,2), whose stability region
+#: holds a disk twice as wide as RK2's, is stable to 1.115-1.125 (sbp1) and
+#: 1.695-2.145 (sbp3): factor 2 on both orders.  The spectrum alone is not
+#: sufficient for a non-normal operator (Reddy & Trefethen, Numer. Math. 62,
+#: 1992; Sun & Shu, Ann. Math. Sci. Appl. 2, 2017); long runs to t = 20
+#: check it, and fine grids bind first: sbp3 on experiment 3 at 160^2 stays
+#: bounded up to Courant 0.75 under RK2 and 1.5 under SSPRK(3,2), and
+#: blows up at 0.8 and 1.6.
+COURANT_PER_CFL = {("rk4", "none"): 2.0, ("rk4", "accurate"): 2.0,
+                   ("ssp32", "upwind"): 2.0}
 
 #: ``sbp2`` and ``sbp4`` have no dissipation, so their spectra lie on or
 #: next to the imaginary axis.  RK2 amplifies such modes (``sbp2`` at cfl
 #: 0.45 by up to 1.0035 per step); classical RK4 is stable on the imaginary
 #: axis up to |z| = 2*sqrt(2), so both run RK4 at cfl 0.9, a Courant number
-#: of 1.8.  ``sbp3`` runs RK2 at 0.7, 93 percent of its measured limit of
-#: 0.75; ``sbp1`` runs RK2 at 0.45.
+#: of 1.8.  ``sbp3`` runs SSPRK(3,2) at cfl 0.7, a Courant number of 1.4,
+#: 90 percent of its fine-grid limit of about 1.55: twice RK2's step for
+#: 1.5 times its stages.  ``sbp1`` runs RK2 at 0.45.
 SCHEMES = {
     "sbp1": SchemeConfig("sbp1", order=2, dissipation="upwind"),
     "sbp2": SchemeConfig("sbp2", order=2, integrator="rk4", cfl=0.9),
-    "sbp3": SchemeConfig("sbp3", order=4, dissipation="upwind", cfl=0.7),
+    "sbp3": SchemeConfig("sbp3", order=4, dissipation="upwind", integrator="ssp32",
+                         cfl=0.7),
     "sbp4": SchemeConfig("sbp4", order=4, integrator="rk4", cfl=0.9),
 }
 

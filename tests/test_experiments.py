@@ -133,7 +133,7 @@ class TestSchemeRegistry:
         if name in ("sbp2", "sbp4"):
             assert scheme.cfl == 0.9 and scheme.integrator == "rk4"
         elif name == "sbp3":
-            assert scheme.cfl == 0.7 and scheme.integrator == "rk2"
+            assert scheme.cfl == 0.7 and scheme.integrator == "ssp32"
         else:
             assert scheme.cfl == 0.45 and scheme.integrator == "rk2"
 
@@ -180,15 +180,17 @@ class TestSchemeRegistry:
 
     @pytest.mark.parametrize(
         "name, overrides, factor",
-        [("sbp1", {}, 1.0), ("sbp2", {}, 2.0), ("sbp3", {}, 1.0),
+        [("sbp1", {}, 1.0), ("sbp2", {}, 2.0), ("sbp3", {}, 2.0),
          ("sbp4", {}, 2.0), ("sbp4", dict(dissipation="accurate"), 2.0),
          ("sbp2", dict(integrator="rk4"), 2.0),
          ("sbp1", dict(integrator="rk4"), 1.0),
-         ("sbp4", dict(integrator="rk2"), 1.0)],
+         ("sbp4", dict(integrator="rk2"), 1.0),
+         ("sbp3", dict(integrator="rk2"), 1.0),
+         ("sbp1", dict(integrator="ssp32"), 2.0)],
     )
     def test_run_steps_at_the_courant_number(self, name, overrides, factor):
-        """RK4 without upwind dissipation steps at twice cfl; every other
-        combination steps at cfl itself, bitwise."""
+        """RK4 without upwind dissipation and SSPRK(3,2) with it step at
+        twice cfl; every other combination steps at cfl itself, bitwise."""
         scheme = scheme_config(name, **overrides)
         assert scheme.courant == factor * scheme.cfl
         setup = assemble(experiment2(), scheme, 12, 12)

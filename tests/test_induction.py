@@ -431,6 +431,16 @@ class TestAssembledRhs:
         # each step's end time is the next step's start, so no time repeats
         assert len(times) == len(set(times)) == 2 * steps + 1
 
+    def test_ssp32_steps_sample_twice_per_step_plus_one(self):
+        """The stages at t + dt/2 and t + dt sample; the next step's first
+        stage at t + dt hits the memo."""
+        setup, rhs, times = _counting_exp2_rhs()
+        config = IntegratorConfig(t_final=0.6, method="ssp32",
+                                  fixed_dt=compute_dt(setup.grid, setup.coeffs, 1.4))
+        v, steps = integrate(setup.v0.data, config, rhs, t0=0.1)
+        assert steps >= 5 and np.isfinite(v).all()
+        assert len(times) == len(set(times)) == 2 * steps + 1
+
     def test_memo_is_never_stale(self):
         setup, rhs, times = _counting_exp2_rhs()
         v = np.random.default_rng(6).standard_normal(setup.v0.data.shape)

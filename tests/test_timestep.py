@@ -21,6 +21,7 @@ from inductionfd import (
     rk4_step,
     sample_velocity,
     scheme_config,
+    ssp32_step,
 )
 
 import dense_oracle
@@ -90,6 +91,20 @@ class TestSteppers:
         want = v + a * dt + b * (t * dt + dt**2 / 2.0)
         np.testing.assert_allclose(got, want, rtol=1e-14)
 
+    def test_ssp32_exact_on_affine_forcing(self):
+        """SSPRK(3,2) weights its stages at t, t + dt/2 and t + dt by dt/3
+        each, which integrates dV/dt = a + b t exactly."""
+        a, b = 1.25, -0.75
+
+        def rhs(t, v):
+            return a + b * t + 0.0 * v
+
+        v = np.array([2.0])
+        t, dt = 0.3, 0.17
+        got = ssp32_step(v, t, dt, rhs)
+        want = v + a * dt + b * (t * dt + dt**2 / 2.0)
+        np.testing.assert_allclose(got, want, rtol=1e-14)
+
     def test_rk4_exact_on_cubic_forcing(self):
         """The classical RK4 quadrature is Simpson's rule: exact for t^3."""
 
@@ -101,7 +116,7 @@ class TestSteppers:
         np.testing.assert_allclose(got, 0.25, rtol=1e-14)
 
     @pytest.mark.parametrize(
-        "stepper, expected_order", [(rk2_step, 2), (rk4_step, 4)]
+        "stepper, expected_order", [(rk2_step, 2), (rk4_step, 4), (ssp32_step, 2)]
     )
     def test_order_of_accuracy(self, stepper, expected_order):
         """Step error against exp(M t) shrinks at the advertised order."""
