@@ -86,10 +86,8 @@ def _build_parser() -> _Parser:
                         "sbp2 and sbp4, ssp32 (three-stage SSP RK2) for sbp3 "
                         "and rk2 for sbp1); rk4 doubles the step of a scheme "
                         "without upwind dissipation, ssp32 that of one with "
-                        "it.  An override keeps the scheme's cfl, which is "
-                        "tuned for its registered integrator: --integrator rk2 "
-                        "runs sbp2 at Courant 0.9, above its rk2 limit; pass "
-                        "--cfl too")
+                        "it.  The scheme's cfl is tuned for its own "
+                        "integrator, so another one needs --cfl as well")
     parser.add_argument("--dissipation", choices=DISSIPATION_MODES, default=None,
                         help="override the scheme's dissipation mode")
     parser.add_argument("--theta", type=float, default=None,
@@ -109,7 +107,9 @@ def parse_args(argv) -> RunConfig:
 
     The scheme starts from ``--scheme`` (its study variant,
     ``experiments.study_config``, under ``--study``), and the scheme flags
-    given replace its fields; ``SchemeConfig`` checks them.  Raises
+    given replace its fields; ``SchemeConfig`` checks them.  An
+    ``--integrator`` other than the scheme's own needs ``--cfl`` too,
+    because the scheme's cfl is tuned for its own integrator.  Raises
     SystemExit (caught by main and turned into exit code 1) on unknown
     flags, invalid values or inconsistent combinations.
     """
@@ -121,6 +121,12 @@ def parse_args(argv) -> RunConfig:
         parser.error(
             f"scheme {ns.scheme} is defined by upwind dissipation; "
             f"--dissipation {ns.dissipation} contradicts it (use sbp2/sbp4 instead)"
+        )
+    if ns.integrator not in (None, base.integrator) and ns.cfl is None:
+        parser.error(
+            f"--integrator {ns.integrator} needs --cfl: scheme {base.name} is "
+            f"registered with {base.integrator} at cfl {base.cfl}, and that cfl "
+            f"is tuned for {base.integrator}"
         )
     flags = {"cfl": ns.cfl, "integrator": ns.integrator,
              "dissipation": ns.dissipation, "theta": ns.theta}

@@ -221,7 +221,8 @@ class BoundaryData:
 #: that ``InductionRhs`` applies every term to before it moves on: the
 #: eight strip-sized arrays it touches (state, swapped state, result,
 #: scratch, two speeds, two coupling planes) take 2.5 MiB and stay in a
-#: 4 MiB L2 cache.  Chosen by a sweep of 20 480 to 81 920 (ROADMAP.md).
+#: 4 MiB L2 cache.  Chosen by a sweep of 20 480 to 81 920, repeated on
+#: the block-product stencils (CHANGES.md).
 STRIP_NODES = 40_960
 
 

@@ -7,8 +7,9 @@ derivative is D = P^{-1} Q / h and satisfies Q + Q^T = diag(-1, 0, ..., 0, 1),
 which is what every energy estimate in this package rests on.
 
 Application is matrix-free (``BandedStencil``): interior rows are
-evaluated by shifted slices and the closure rows by small dense blocks,
-along either of the last two axes of a field of shape (..., npx, npy).
+evaluated as products of one small banded block with overlapping
+windows of the field, and the closure rows by small dense blocks, along
+either of the last two axes of a field of shape (..., npx, npy).
 """
 
 from __future__ import annotations
@@ -50,6 +51,10 @@ _P_CLOSURE = {
 
 #: polynomial degree reproduced exactly at closure / interior nodes
 EXACT_DEGREE = {2: (1, 2), 4: (2, 4)}
+
+#: interior nodes per block product of ``BandedStencil``; at 320^2, 8 was
+#: the fastest of 4, 8, 16 and 32 along x and of 4, 8 and 16 along y
+_BLOCK = 8
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -139,28 +144,34 @@ class BandedStencil:
     with every constant of its application computed once.
 
     ``scale`` multiplies the operator's tables: the grid-spacing power,
-    and any sign the caller folds in.  The interior row is split into its
-    centre weight and pairs: an antisymmetric row (a derivative) pairs
-    its nodes as c_k (f[i+k] - f[i-k]), a symmetric one (a dissipation) as
-    c_k (f[i+k] + f[i-k]).  The terms are summed from the outermost pair
-    inwards, each partial sum scaled by the ratio of consecutive
-    coefficients and the total by the innermost one, so the apply needs
-    no scratch array.  In C order a shift along either of the last two
-    axes is a shift of the flat array by that axis's stride, so the
-    interior runs on contiguous flat slices for both axes and all fields.  The flat range also covers nodes whose stencil wraps
-    into the next line; those are exactly the closure nodes, which the
-    closure blocks overwrite afterwards (every stencil half-width is at
-    most the closure size).  The closure blocks are stored scaled and
-    contiguous, transposed along y, so each is one matmul.
+    and any sign the caller folds in.  The interior rows are applied in
+    blocks of ``_BLOCK`` consecutive nodes: one constant block matrix of
+    ``_BLOCK`` rows by ``_BLOCK`` + 2w columns (w the stencil half-width,
+    ``scale`` folded in) holds the interior row shifted by one column per
+    row, and it multiplies windows of ``_BLOCK`` + 2w input lines taken
+    every ``_BLOCK`` lines: whole rows along x (block times window), whole
+    columns along y (window times the block's transpose).  The windows
+    overlap, so they and the output blocks are strided views of the
+    operands' buffers, and the full blocks of an apply are one batched
+    matmul.  The blocks start at the first interior node of each field;
+    the last ``m % _BLOCK`` interior nodes (m of them in a line) form a
+    shorter block cut from the same matrix.  The closure rows are small
+    dense blocks, stored scaled and contiguous, transposed along y, so
+    each is one matmul too.  Every stencil half-width is at most the
+    closure size (checked here), so every window lies inside the line.
 
     An apply can be limited to a range of rows, lines of npy nodes of the
     array viewed as (-1, npy), so that a caller can run several operators
-    on one cache-sized strip before it moves on.  A strip takes the
-    interior of its rows from the flat slices and its closure rows (along
-    x) or columns (along y) from the same matmul blocks, and every node
-    gets the arithmetic of the full apply, bit for bit.  What a row range
-    needs (the flat interior bounds, the closure products) is worked out
-    on its first apply and kept.
+    on one cache-sized strip before it moves on.  Along x a strip that
+    ends inside a block computes the rows it holds as a sub-block of the
+    same block and window; along y a strip computes every column block
+    for its rows.  Every node thus gets the same products of the full
+    apply, bit for bit, as long as BLAS computes each row of a product
+    alike whatever the number of rows.  It does not for a one-row product,
+    which BLAS computes with gemv in another summation order than gemm,
+    so such a product is computed as two rows and one is kept.  What a
+    row range needs (the views of its products) is worked out on its
+    first apply and kept.
     """
 
     def __init__(self, op, axis: int, scale: float, shape: tuple[int, int]):
@@ -171,29 +182,24 @@ class BandedStencil:
                              f"{'npx' if axis == -2 else 'npy'}={n}")
         interior = np.asarray(op.interior) * scale
         width = len(interior) // 2
-        stride = shape[-1] if axis == -2 else 1
-        # (coefficient, shift, combine); the centre has shift 0 and no partner
-        terms = [(float(interior[width]), 0, None)]
-        for k in range(1, width + 1):
-            ahead, behind = interior[width + k], interior[width - k]
-            if behind == -ahead:
-                combine = np.subtract
-            elif behind == ahead:
-                combine = np.add
-            else:
-                raise ValueError("interior stencil is neither symmetric nor antisymmetric")
-            terms.append((float(ahead), k * stride, combine))
-        terms = [term for term in terms if term[0] != 0.0][::-1]
+        block = np.zeros((_BLOCK, _BLOCK + 2 * width))
+        for i in range(_BLOCK):
+            block[i, i : i + len(interior)] = interior
+        closure = op.top.shape[0]
+        if width > closure:
+            raise ValueError(f"interior stencil half-width {width} exceeds the "
+                             f"{closure} closure rows")
+        short = (n - 2 * closure) % _BLOCK
+        tail = block[:short, : short + 2 * width]
         top, bot = op.top * scale, op.bot * scale
         if axis == -1:
-            top, bot = top.T, bot.T
+            top, bot, block, tail = top.T, bot.T, block.T, tail.T
         self.axis = axis
         self.shape = shape
-        self.lo = op.top.shape[0] * stride
-        self.first = terms[0][1:] if terms else None
-        self.steps = tuple((outer[0] / inner[0],) + inner[1:]
-                           for outer, inner in zip(terms, terms[1:]))
-        self.last = terms[-1][0] if terms else 0.0
+        self.width = width
+        self.closure = closure
+        self.block = np.ascontiguousarray(block)
+        self.tail = np.ascontiguousarray(tail)
         self.top = np.ascontiguousarray(top)
         self.bot = np.ascontiguousarray(bot)
         self._plans = {}
@@ -212,27 +218,17 @@ class BandedStencil:
         plan = self._plans.get(key)
         if plan is None:
             plan = self._plans[key] = self._plan(start, stop, f.size)
-        lo, hi, products = plan
-        flat, acc = f.reshape(-1), out.reshape(-1)
-        if lo < hi:
-            dst = acc[lo:hi]
-            if self.first is None:
-                dst[...] = 0.0
-            else:
-                shift, combine = self.first
-                if combine is None:
-                    dst[...] = flat[lo:hi]
-                else:
-                    combine(flat[lo + shift : hi + shift], flat[lo - shift : hi - shift],
-                            out=dst)
-                for ratio, shift, combine in self.steps:
-                    dst *= ratio
-                    dst += flat[lo + shift : hi + shift]
-                    if combine is not None:
-                        combine(dst, flat[lo - shift : hi - shift], out=dst)
-                dst *= self.last
+        interior, closures = plan
         along_x = self.axis == -2
-        for block, src, into, pick in products:
+        for block, window, target, pick in interior:
+            src = np.ndarray(window[0], float, f, *window[1:])
+            dst = np.ndarray(target[0], float, out, *target[1:])
+            product = (block, src) if along_x else (src, block)
+            if pick is None:
+                np.matmul(*product, out=dst)
+            else:
+                dst[...] = np.matmul(*product)[..., pick, :]
+        for block, src, into, pick in closures:
             product = (block, f[src]) if along_x else (f[src], block)
             if pick is None:
                 np.matmul(*product, out=out[into])
@@ -241,22 +237,22 @@ class BandedStencil:
         return out
 
     def _plan(self, start: int, stop: int | None, size: int) -> tuple:
-        """(lo, hi, products) of an apply to rows ``start:stop`` of arrays
-        of ``size`` nodes: the flat interior range and, per closure
-        product, its block, the index of its other factor in f, the index
-        of its rows in out and the rows of the product to keep.  BLAS
-        computes a one-row product with gemv, which sums in another order
-        than the gemm of the full apply, so such a row is computed as two
-        and one is kept.
+        """(interior, closures) of an apply to rows ``start:stop`` of arrays
+        of ``size`` nodes.  Per interior product: its block, the (shape,
+        byte offset, byte strides) of its windows in f and of its target
+        in out, and the rows of the product to keep (None: all of them).
+        Per closure product: its block, the index of its other
+        factor in f, the index of its rows in out and the rows of the
+        product to keep.
         """
         npx, npy = self.shape
         if stop is None:
             stop = size // npy
-        lo, hi = max(start * npy, self.lo), min(stop * npy, size - self.lo)
         along_x = self.axis == -2
+        interior = (self._interior_x if along_x else self._interior_y)(start, stop, size)
         n = self.shape[self.axis]
         rows, cols = self.top.shape if along_x else self.top.shape[::-1]
-        products = []
+        closures = []
         for fields, a, b in _field_pieces(start, stop, npx):
             for block, first, take in ((self.top, 0, slice(0, cols)),
                                        (self.bot, n - rows, slice(n - cols, n))):
@@ -264,13 +260,82 @@ class BandedStencil:
                     i, j = max(a - first, 0), min(b - first, rows)
                     if i < j:
                         computed, pick = _one_row_as_two(i, j, rows)
-                        products.append((block[computed], (fields, take),
+                        closures.append((block[computed], (fields, take),
                                          (fields, slice(first + i, first + j)), pick))
                 else:
                     computed, pick = _one_row_as_two(a, b, npx)
-                    products.append((block, (fields, computed, take),
+                    closures.append((block, (fields, computed, take),
                                      (fields, slice(a, b), slice(first, first + rows)), pick))
-        return lo, hi, products
+        return interior, closures
+
+    def _interior_x(self, start: int, stop: int, size: int) -> list:
+        """Interior products along x: per piece of fields, one batched
+        product over the whole blocks in the range and one sub-block
+        product per block the range cuts."""
+        npx, npy = self.shape
+        item = np.dtype(float).itemsize
+        line, field = npy * item, npx * npy * item
+        width, lo = self.width, self.closure
+        full = (npx - 2 * lo) // _BLOCK
+        products = []
+        for fields, a, b in _field_pieces(start, stop, npx):
+            s, e = max(a, lo) - lo, min(b, npx - lo) - lo
+            if s >= e:
+                continue
+            count = fields.stop - fields.start
+            base = (fields.start * npx + lo) * line
+            j0, j1 = -(-s // _BLOCK), min(e // _BLOCK, full)
+            if j0 < j1:
+                strides = (field, _BLOCK * line, line, item)
+                first = base + _BLOCK * j0 * line
+                products.append((
+                    self.block,
+                    ((count, j1 - j0, self.block.shape[1], npy), first - width * line, strides),
+                    ((count, j1 - j0, _BLOCK, npy), first, strides),
+                    None))
+            for j in sorted({s // _BLOCK, (e - 1) // _BLOCK} - set(range(j0, j1))):
+                block = self.block if j < full else self.tail
+                i, k = max(s - _BLOCK * j, 0), min(e - _BLOCK * j, len(block))
+                computed, pick = _one_row_as_two(i, k, len(block))
+                strides = (field, line, item)
+                first = base + _BLOCK * j * line
+                products.append((
+                    block[computed],
+                    ((count, block.shape[1], npy), first - width * line, strides),
+                    ((count, k - i, npy), first + i * line, strides),
+                    pick))
+        return products
+
+    def _interior_y(self, start: int, stop: int, size: int) -> list:
+        """Interior products along y: one batched product over the whole
+        column blocks of the rows and one over the short block."""
+        npy = self.shape[1]
+        if start >= stop:
+            return []
+        item = np.dtype(float).itemsize
+        line = npy * item
+        width, lo = self.width, self.closure
+        full = (npy - 2 * lo) // _BLOCK
+        computed, pick = _one_row_as_two(start, stop, size // npy)
+        count, rows = computed.stop - computed.start, stop - start
+        src, dst = computed.start * line, start * line
+        products = []
+        if full:
+            strides = (_BLOCK * item, line, item)
+            products.append((
+                self.block,
+                ((full, count, self.block.shape[0]), src + (lo - width) * item, strides),
+                ((full, rows, _BLOCK), dst + lo * item, strides),
+                pick))
+        short = self.tail.shape[1]
+        if short:
+            first = lo + _BLOCK * full
+            products.append((
+                self.tail,
+                ((count, self.tail.shape[0]), src + (first - width) * item, (line, item)),
+                ((rows, short), dst + first * item, (line, item)),
+                pick))
+        return products
 
 
 def _one_row_as_two(i: int, j: int, total: int) -> tuple[slice, slice | None]:

@@ -61,6 +61,20 @@ class TestParseArgs:
         assert config.scheme.integrator == "rk4"
         assert config.scheme.cfl == pytest.approx(0.3)
 
+    def test_integrator_override_without_cfl_exits_1(self, capsys, tmp_path, monkeypatch):
+        """Another integrator under the scheme's cfl would step outside its
+        limit (sbp2 under RK2 at Courant 0.9 blows up), so it needs --cfl;
+        the scheme's own integrator does not."""
+        monkeypatch.chdir(tmp_path)  # the default output directory is ./out
+        for argv in (["--nx", "80", "--ny", "80", "--tfinal", "20"], ["--study"]):
+            assert main(["--experiment", "3", "--integrator", "rk2"] + argv) == 1
+            err = capsys.readouterr().err
+            assert "--cfl" in err and "sbp2" in err and "rk4 at cfl 0.9" in err
+        assert not (tmp_path / "out").exists()
+        config = parse_args(["--experiment", "3", "--integrator", "rk4"])
+        assert config.scheme.integrator == "rk4"
+        assert config.scheme.cfl == pytest.approx(0.9)
+
     def test_missing_experiment_raises(self):
         with pytest.raises(SystemExit):
             parse_args([])

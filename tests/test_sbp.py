@@ -85,11 +85,25 @@ def test_dense_matches_oracle(order, n):
     np.testing.assert_allclose(op.dense_d(h), dense_d(order, n, h), atol=1e-12)
 
 
-@pytest.mark.parametrize("order", [2, 4])
-def test_banded_apply_matches_dense(order):
+#: grid shapes per order whose interior lengths (n minus both closures)
+#: cover the block edges of ``BandedStencil``: below one block of 8, a
+#: multiple of 8, 8k +- 1, and the minimum point count (order 2: 3 points,
+#: interior 1; order 4: 8 points, no interior); (14, 11) keeps the id of
+#: the order alone
+_BLOCK_EDGE_SHAPES = [
+    pytest.param(order, shape, id=str(order) if shape == (14, 11)
+                 else f"{order}-{shape[0]}x{shape[1]}")
+    for order, shapes in ((2, [(14, 11), (3, 3), (18, 19), (17, 10), (3, 18)]),
+                          (4, [(14, 11), (8, 8), (24, 25), (23, 17), (8, 24)]))
+    for shape in shapes
+]
+
+
+@pytest.mark.parametrize("order, shape", _BLOCK_EDGE_SHAPES)
+def test_banded_apply_matches_dense(order, shape):
     """Matrix-free application along both axes equals the dense product."""
     rng = np.random.default_rng(7)
-    grid = Grid2D(-1.0, 1.5, 0.0, 2.0, 14, 11)
+    grid = Grid2D(-1.0, 1.5, 0.0, 2.0, *shape)
     f = rng.normal(size=grid.shape)
     op_x = build_sbp(order, grid.npx)
     op_y = build_sbp(order, grid.npy)
@@ -196,14 +210,13 @@ def test_stacked_apply_matches_per_field(order):
         apply_dx(build_sbp(order, grid.npx), np.zeros((2, 14, 12)), grid)
 
 
-@pytest.mark.parametrize("order", [2, 4])
-def test_row_range_apply_matches_full_apply(order):
+@pytest.mark.parametrize("order, shape", _BLOCK_EDGE_SHAPES)
+def test_row_range_apply_matches_full_apply(order, shape):
     """Consecutive row ranges of a stack of fields give the full apply bit
     for bit, along both axes, for derivative and dissipation operators,
-    with ranges cut inside the closures and across the fields; rows
-    outside a range are not written."""
+    with ranges cut inside the closures, the interior blocks and across
+    the fields; rows outside a range are not written."""
     rng = np.random.default_rng(17)
-    shape = (14, 11)
     stack = rng.normal(size=(3,) + shape)
     rows = stack.shape[0] * shape[0]
     ops = (
@@ -224,16 +237,3 @@ def test_row_range_apply_matches_full_apply(order):
                 assert np.isnan(flat[stop:]).all()
             np.testing.assert_array_equal(out, full)
 
-
-def test_lopsided_interior_stencil_rejected():
-    """The apply pairs the interior nodes symmetrically about the centre, so
-    a row that is neither symmetric nor antisymmetric cannot be applied."""
-    from inductionfd.sbp import SbpOperator1D
-
-    op = build_sbp(2, 9)
-    lopsided = SbpOperator1D(order=2, n=9, p=np.array(op.p),
-                             q_interior=np.array([-0.5, 0.1, 0.4]),
-                             q_closure=np.array(op.q_closure))
-    grid = Grid2D(0.0, 1.0, 0.0, 1.0, 9, 9)
-    with pytest.raises(ValueError, match="neither symmetric nor antisymmetric"):
-        apply_dx(lopsided, np.zeros(grid.shape), grid)
