@@ -18,7 +18,7 @@ makes the semi-discrete scheme energy-stable.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -217,31 +217,33 @@ class BoundaryData:
         return g[:, :split].reshape(2, 2, npy), g[:, split:].reshape(2, npx, 2)
 
 
-#: most nodes of one component in one strip of the RHS, the unit of work
-#: that ``InductionRhs`` applies every term to before it moves on: the
-#: eight strip-sized arrays it touches (state, swapped state, result,
+#: about the most nodes of one component in one strip of the RHS, the unit
+#: of work that ``InductionRhs`` applies every term to before it moves on:
+#: the eight strip-sized arrays it touches (state, swapped state, result,
 #: scratch, two speeds, two coupling planes) take 2.5 MiB and stay in a
-#: 4 MiB L2 cache.  Chosen by a sweep of 20 480 to 81 920, repeated on
-#: the block-product stencils (CHANGES.md).
+#: 4 MiB L2 cache.  A strip ends only where a block of the x stencil
+#: starts, so it can hold up to a block of rows more.  Chosen by a sweep
+#: of 20 480 to 81 920, repeated on the block-product stencils (CHANGES.md).
 STRIP_NODES = 40_960
 
 
-def _strips(npx: int, npy: int) -> list[tuple]:
+def _strips(npx: int, npy: int, cuts: Sequence[int]) -> list[tuple]:
     """The strips of whole rows that ``InductionRhs`` walks a (2, npx, npy)
-    state in, each as (node index, first row, end row), the rows counted
-    in the state viewed as (2*npx, npy).
+    state in, each as the index (fields, rows) of its nodes, cut only at
+    the rows ``cuts`` of the x stencil (``BandedStencil.cuts``).
 
-    A component of at most ``STRIP_NODES`` nodes is not cut, and the state
-    is one strip covering both components.  Otherwise each component is cut
-    into the fewest strips of at most ``STRIP_NODES`` nodes (at least one
-    row), their lengths differing by at most one row.
+    Each component is cut into the fewest strips of at most ``STRIP_NODES``
+    nodes (at least one row), their lengths differing by at most one row,
+    and each cut is then moved to the nearest row of ``cuts``.  A component
+    that is not cut, because it is small enough or too short, makes the
+    state one strip covering both components.
     """
-    if npx * npy <= STRIP_NODES:
-        return [((slice(0, 2), slice(0, npx)), 0, 2 * npx)]
     count = -(-npx // max(1, STRIP_NODES // npy))
-    bounds = [npx * k // count for k in range(count + 1)]
-    return [((slice(c, c + 1), slice(a, b)), c * npx + a, c * npx + b)
-            for c in (0, 1) for a, b in zip(bounds, bounds[1:])]
+    bounds = sorted({min(cuts, key=lambda c: abs(c - npx * k // count))
+                     for k in range(count + 1)})
+    if len(bounds) == 2:
+        return [(slice(0, 2), slice(0, npx))]
+    return [(slice(c, c + 1), slice(a, b)) for c in (0, 1) for a, b in zip(bounds, bounds[1:])]
 
 
 class InductionRhs:
@@ -255,17 +257,18 @@ class InductionRhs:
     applied to one strip of whole rows at a time, all of them to a strip
     before the next, so that a strip's arrays stay in cache (see
     ``STRIP_NODES``); a state of up to about 200² nodes per component is
-    one strip.  Every node gets the same arithmetic in any cut, so the
-    result does not depend on it, bit for bit.  Everything that does not
-    change between calls is built here: per axis the derivative stencil
-    with -1/h folded in and the dissipation stencil with its h power
-    (``BandedStencil``), the coupling arrays of ``coeffs``, the SAT
-    coefficients of ``sat`` in their strided layout, the strips with
-    views of the coefficients they multiply, and one scratch buffer.  The
-    exact boundary data is sampled only when t differs from the last time
-    it was sampled, a one-entry memo: RK4's two middle stages share a
-    time, and a step's last stage time is the next step's first.  Zero
-    boundary data samples nothing.
+    one strip.  A strip starts and ends on the block boundaries of the x
+    stencil, so every node gets the block products of the one-strip
+    apply, and the result does not depend on the cut, bit for bit.
+    Everything that does not change between calls is built here: per
+    axis the derivative stencil with -1/h folded in and the dissipation
+    stencil with its h power (``BandedStencil``), the coupling arrays of
+    ``coeffs``, the SAT coefficients of ``sat`` in their strided layout,
+    the strips with views of the coefficients they multiply, and one
+    scratch buffer.  The exact boundary data is sampled only when t
+    differs from the last time it was sampled, a one-entry memo: RK4's
+    two middle stages share a time, and a step's last stage time is the
+    next step's first.  Zero boundary data samples nothing.
 
     Every call returns a fresh array, because the RK stages hold several
     results at once.  The scratch buffer and the memo belong to the
@@ -298,12 +301,12 @@ class InductionRhs:
         self._t = None
         self._g = None
         self._work = np.empty(self.shape)
-        # per strip: its node index, its rows in the (2*npx, npy) view, and
-        # the views of the coefficients it multiplies
+        # per strip: its node index and the views of the coefficients it
+        # multiplies
         self._strips = [
-            (node, start, stop, coeffs.lam_x[node[1]], coeffs.lam_y[node[1]],
+            (node, coeffs.lam_x[node[1]], coeffs.lam_y[node[1]],
              coeffs.couple_sub[node], coeffs.couple_add[node])
-            for node, start, stop in _strips(*shape)
+            for node in _strips(*shape, self._dx.cuts)
         ]
 
     def boundary_data(self, t: float) -> tuple[np.ndarray, np.ndarray] | None:
@@ -319,11 +322,11 @@ class InductionRhs:
             raise ValueError(f"state must have shape {self.shape}, got {v.shape}")
         v = np.ascontiguousarray(v, dtype=float)
         rhs, work, swapped = np.empty(self.shape), self._work, v[::-1]
-        for node, start, stop, lam_x, lam_y, sub, add in self._strips:
+        for node, lam_x, lam_y, sub, add in self._strips:
             r, w = rhs[node], work[node]
-            self._dx.apply(v, rhs, start, stop)
+            self._dx.apply(v, rhs, *node)
             r *= lam_x
-            self._dy.apply(v, work, start, stop)
+            self._dy.apply(v, work, *node)
             w *= lam_y
             r += w
             np.multiply(sub, v[node], out=w)
@@ -331,7 +334,7 @@ class InductionRhs:
             np.multiply(add, swapped[node], out=w)
             r += w
             for stencil in self._diss:
-                stencil.apply(v, work, start, stop)
+                stencil.apply(v, work, *node)
                 r += w
 
         sx, sy = self._edge_steps

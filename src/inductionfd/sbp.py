@@ -9,7 +9,9 @@ which is what every energy estimate in this package rests on.
 Application is matrix-free (``BandedStencil``): interior rows are
 evaluated as products of one small banded block with overlapping
 windows of the field, and the closure rows by small dense blocks, along
-either of the last two axes of a field of shape (..., npx, npy).
+either of the last two axes of a field of shape (..., npx, npy).  An apply
+can be limited to a strip of rows that starts and ends on the block
+boundaries of the x stencil.
 """
 
 from __future__ import annotations
@@ -160,18 +162,19 @@ class BandedStencil:
     each is one matmul too.  Every stencil half-width is at most the
     closure size (checked here), so every window lies inside the line.
 
-    An apply can be limited to a range of rows, lines of npy nodes of the
-    array viewed as (-1, npy), so that a caller can run several operators
-    on one cache-sized strip before it moves on.  Along x a strip that
-    ends inside a block computes the rows it holds as a sub-block of the
-    same block and window; along y a strip computes every column block
-    for its rows.  Every node thus gets the same products of the full
-    apply, bit for bit, as long as BLAS computes each row of a product
-    alike whatever the number of rows.  It does not for a one-row product,
-    which BLAS computes with gemv in another summation order than gemm,
-    so such a product is computed as two rows and one is kept.  What a
-    row range needs (the views of its products) is worked out on its
-    first apply and kept.
+    An apply can be limited to some fields and a range of their rows
+    (lines of npy nodes), so that a caller can run several operators on
+    one cache-sized strip before it moves on.  The range starts and ends
+    at rows of ``cuts``.  Along x these are the two ends of a field and
+    the starts of its interior blocks but the first and the last, so a
+    range holds whole blocks, at least one, and takes the closure rows
+    and the short block with the ends of the field.  Along y every row
+    is a cut, as each row is a line of its own.  Every node thus gets the
+    same products as in the full apply, bit for bit, as long as BLAS
+    computes each row of a product alike whatever the number of rows: it
+    does for two rows and more, not for a range of one row along y, which
+    no strip is.  What a range needs (the views of its products) is
+    worked out on its first apply and kept.
     """
 
     def __init__(self, op, axis: int, scale: float, shape: tuple[int, int]):
@@ -189,7 +192,7 @@ class BandedStencil:
         if width > closure:
             raise ValueError(f"interior stencil half-width {width} exceeds the "
                              f"{closure} closure rows")
-        short = (n - 2 * closure) % _BLOCK
+        full, short = divmod(n - 2 * closure, _BLOCK)
         tail = block[:short, : short + 2 * width]
         top, bot = op.top * scale, op.bot * scale
         if axis == -1:
@@ -198,170 +201,99 @@ class BandedStencil:
         self.shape = shape
         self.width = width
         self.closure = closure
+        self.full = full
+        self.short = short
         self.block = np.ascontiguousarray(block)
         self.tail = np.ascontiguousarray(tail)
         self.top = np.ascontiguousarray(top)
         self.bot = np.ascontiguousarray(bot)
+        #: the rows of a field that the row range of an apply may start or end at
+        self.cuts = range(shape[0] + 1) if axis == -1 else (
+            0, *range(closure + _BLOCK, closure + _BLOCK * full, _BLOCK), n)
         self._plans = {}
 
-    def apply(self, f: np.ndarray, out: np.ndarray, start: int = 0,
-              stop: int | None = None) -> np.ndarray:
-        """Write the operator applied to ``f`` into rows ``start:stop`` of
-        ``out`` and return ``out``; both are C-contiguous float arrays of one
-        shape (fields, npx, npy).
+    def apply(self, f: np.ndarray, out: np.ndarray, fields: slice = slice(None),
+              rows: slice = slice(None)) -> np.ndarray:
+        """Write the operator applied to ``f`` into ``out[fields, rows]`` and
+        return ``out``; both are C-contiguous float arrays of one shape
+        (fields, npx, npy).
 
-        A row is one line of npy nodes of the array viewed as (-1, npy), so
-        a row range runs through the fields in order; the default is every
-        row.  Rows outside the range are left as they are.
+        ``fields`` and ``rows`` are slices of the first two axes, by default
+        all of them; ``rows`` must start and end at rows of ``cuts``
+        (ValueError otherwise).  Nodes outside them are left as they are.
         """
-        key = (start, stop, f.size)
+        key = (fields.start, fields.stop, fields.step, rows.start, rows.stop, rows.step, len(f))
         plan = self._plans.get(key)
         if plan is None:
-            plan = self._plans[key] = self._plan(start, stop, f.size)
-        interior, closures = plan
+            plan = self._plans[key] = self._plan(fields.indices(len(f)),
+                                                 rows.indices(self.shape[0]))
+        interior, edges = plan
         along_x = self.axis == -2
-        for block, window, target, pick in interior:
+        if interior is not None:
+            block, window, target = interior
             src = np.ndarray(window[0], float, f, *window[1:])
             dst = np.ndarray(target[0], float, out, *target[1:])
-            product = (block, src) if along_x else (src, block)
-            if pick is None:
-                np.matmul(*product, out=dst)
-            else:
-                dst[...] = np.matmul(*product)[..., pick, :]
-        for block, src, into, pick in closures:
-            product = (block, f[src]) if along_x else (f[src], block)
-            if pick is None:
-                np.matmul(*product, out=out[into])
-            else:
-                out[into] = np.matmul(*product)[:, pick]
+            np.matmul(*((block, src) if along_x else (src, block)), out=dst)
+        for block, src, dst in edges:
+            np.matmul(*((block, f[src]) if along_x else (f[src], block)), out=out[dst])
         return out
 
-    def _plan(self, start: int, stop: int | None, size: int) -> tuple:
-        """(interior, closures) of an apply to rows ``start:stop`` of arrays
-        of ``size`` nodes.  Per interior product: its block, the (shape,
-        byte offset, byte strides) of its windows in f and of its target
-        in out, and the rows of the product to keep (None: all of them).
-        Per closure product: its block, the index of its other
-        factor in f, the index of its rows in out and the rows of the
-        product to keep.
-        """
+    def _plan(self, fields: tuple, rows: tuple) -> tuple:
+        """(interior, edges) of an apply to the (start, stop, step) ranges
+        ``fields`` and ``rows``.  ``interior`` is the batched product of
+        the whole blocks in the range, as its block and the (shape, byte
+        offset, byte strides) of its windows in f and of its target in out,
+        or None; ``edges`` holds the closure and short-block products, each
+        as its block and the indices of its other factor in f and of its
+        target in out."""
+        (f0, f1, f_step), (a, b, step) = fields, rows
+        if (f_step, step) != (1, 1) or f0 >= f1 or a >= b or a not in self.cuts \
+                or b not in self.cuts:
+            raise ValueError(f"cannot apply to fields {f0}:{f1}:{f_step}, rows "
+                             f"{a}:{b}:{step}; rows must start and end at {self.cuts}")
         npx, npy = self.shape
-        if stop is None:
-            stop = size // npy
+        n, lo, width, full, short = (self.shape[self.axis], self.closure, self.width,
+                                     self.full, self.short)
         along_x = self.axis == -2
-        interior = (self._interior_x if along_x else self._interior_y)(start, stop, size)
-        n = self.shape[self.axis]
-        rows, cols = self.top.shape if along_x else self.top.shape[::-1]
-        closures = []
-        for fields, a, b in _field_pieces(start, stop, npx):
-            for block, first, take in ((self.top, 0, slice(0, cols)),
-                                       (self.bot, n - rows, slice(n - cols, n))):
-                if along_x:
-                    i, j = max(a - first, 0), min(b - first, rows)
-                    if i < j:
-                        computed, pick = _one_row_as_two(i, j, rows)
-                        closures.append((block[computed], (fields, take),
-                                         (fields, slice(first + i, first + j)), pick))
-                else:
-                    computed, pick = _one_row_as_two(a, b, npx)
-                    closures.append((block, (fields, computed, take),
-                                     (fields, slice(a, b), slice(first, first + rows)), pick))
-        return interior, closures
+        first, last = (a == 0, b == npx) if along_x else (True, True)
 
-    def _interior_x(self, start: int, stop: int, size: int) -> list:
-        """Interior products along x: per piece of fields, one batched
-        product over the whole blocks in the range and one sub-block
-        product per block the range cuts."""
-        npx, npy = self.shape
+        def lines(start: int, stop: int) -> tuple:
+            """Index of nodes start..stop along the axis in the range."""
+            along = slice(start, stop)
+            return (slice(f0, f1), along) if along_x else (slice(f0, f1), slice(a, b), along)
+
+        height, reach = self.top.shape if along_x else self.top.shape[::-1]
+        edges = []
+        if first:
+            edges.append((self.top, lines(0, reach), lines(0, height)))
+        if last:
+            edges.append((self.bot, lines(n - reach, n), lines(n - height, n)))
+        if last and short:
+            start = lo + _BLOCK * full
+            edges.append((self.tail, lines(start - width, start + short + width),
+                          lines(start, start + short)))
+
         item = np.dtype(float).itemsize
         line, field = npy * item, npx * npy * item
-        width, lo = self.width, self.closure
-        full = (npx - 2 * lo) // _BLOCK
-        products = []
-        for fields, a, b in _field_pieces(start, stop, npx):
-            s, e = max(a, lo) - lo, min(b, npx - lo) - lo
-            if s >= e:
-                continue
-            count = fields.stop - fields.start
-            base = (fields.start * npx + lo) * line
-            j0, j1 = -(-s // _BLOCK), min(e // _BLOCK, full)
-            if j0 < j1:
-                strides = (field, _BLOCK * line, line, item)
-                first = base + _BLOCK * j0 * line
-                products.append((
-                    self.block,
-                    ((count, j1 - j0, self.block.shape[1], npy), first - width * line, strides),
-                    ((count, j1 - j0, _BLOCK, npy), first, strides),
-                    None))
-            for j in sorted({s // _BLOCK, (e - 1) // _BLOCK} - set(range(j0, j1))):
-                block = self.block if j < full else self.tail
-                i, k = max(s - _BLOCK * j, 0), min(e - _BLOCK * j, len(block))
-                computed, pick = _one_row_as_two(i, k, len(block))
-                strides = (field, line, item)
-                first = base + _BLOCK * j * line
-                products.append((
-                    block[computed],
-                    ((count, block.shape[1], npy), first - width * line, strides),
-                    ((count, k - i, npy), first + i * line, strides),
-                    pick))
-        return products
-
-    def _interior_y(self, start: int, stop: int, size: int) -> list:
-        """Interior products along y: one batched product over the whole
-        column blocks of the rows and one over the short block."""
-        npy = self.shape[1]
-        if start >= stop:
-            return []
-        item = np.dtype(float).itemsize
-        line = npy * item
-        width, lo = self.width, self.closure
-        full = (npy - 2 * lo) // _BLOCK
-        computed, pick = _one_row_as_two(start, stop, size // npy)
-        count, rows = computed.stop - computed.start, stop - start
-        src, dst = computed.start * line, start * line
-        products = []
-        if full:
-            strides = (_BLOCK * item, line, item)
-            products.append((
-                self.block,
-                ((full, count, self.block.shape[0]), src + (lo - width) * item, strides),
-                ((full, rows, _BLOCK), dst + lo * item, strides),
-                pick))
-        short = self.tail.shape[1]
-        if short:
-            first = lo + _BLOCK * full
-            products.append((
-                self.tail,
-                ((count, self.tail.shape[0]), src + (first - width) * item, (line, item)),
-                ((rows, short), dst + first * item, (line, item)),
-                pick))
-        return products
-
-
-def _one_row_as_two(i: int, j: int, total: int) -> tuple[slice, slice | None]:
-    """Rows to compute for rows i..j of a product with ``total`` rows, and
-    the rows to pick from the result (None: all of them).  A single row of
-    a taller product is computed together with a neighbour."""
-    if j - i == 1 and total > 1:
-        w = min(i, total - 2)
-        return slice(w, w + 2), slice(i - w, j - w)
-    return slice(i, j), None
-
-
-def _field_pieces(start: int, stop: int, npx: int):
-    """Split rows ``start:stop`` of a stack of fields with ``npx`` rows each
-    into (fields, a, b): rows a..b of every field in the slice ``fields``.
-    A run of whole fields is one piece."""
-    while start < stop:
-        k, a = divmod(start, npx)
-        whole = (stop - start) // npx if a == 0 else 0
-        if whole:
-            yield slice(k, k + whole), 0, npx
-            start += whole * npx
+        if along_x:
+            # the whole blocks in the range, each over whole rows of the fields
+            j0, j1 = max(a - lo, 0) // _BLOCK, min((b - lo) // _BLOCK, full)
+            base, unit = f0 * field, line
+            strides = (field, _BLOCK * line, line, item)
+            shape = lambda size: (f1 - f0, j1 - j0, size, npy)
         else:
-            b = min(npx, a + stop - start)
-            yield slice(k, k + 1), a, b
-            start += b - a
+            # every column block over the range's rows; the rows of whole
+            # fields are one run
+            j0, j1 = 0, full
+            count, run = (1, (f1 - f0) * npx) if (a, b) == (0, npx) else (f1 - f0, b - a)
+            base, unit = (f0 * npx + a) * line, item
+            strides = (field, _BLOCK * item, line, item)
+            shape = lambda size: (count, full, run, size)
+        if j0 == j1:
+            return None, edges
+        start = lo + _BLOCK * j0
+        return (self.block, (shape(_BLOCK + 2 * width), base + (start - width) * unit, strides),
+                (shape(_BLOCK), base + start * unit, strides)), edges
 
 
 def _apply(op, f: np.ndarray, grid: Grid2D, axis: int, h: float,

@@ -40,8 +40,8 @@ class IntegratorConfig:
     def __post_init__(self) -> None:
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}, expected one of {METHODS}")
-        if self.fixed_dt <= 0:
-            raise ValueError(f"fixed_dt must be positive, got {self.fixed_dt}")
+        if not 0 < self.fixed_dt < np.inf:
+            raise ValueError(f"fixed_dt must be positive and finite, got {self.fixed_dt}")
 
 
 def compute_dt(grid: Grid2D, coeffs: VelocityCoeffs, courant: float) -> float:
@@ -123,6 +123,8 @@ def integrate(
     """
     if config.t_final < t0:
         raise ValueError(f"t_final {config.t_final} lies before the start time {t0}")
+    if hook_every < 1:
+        raise ValueError(f"hook_every must be at least 1, got {hook_every}")
     v = np.array(v0, dtype=float, copy=True)
     if hook is not None:
         hook(0, t0, v)

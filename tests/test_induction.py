@@ -28,6 +28,8 @@ from inductionfd import (
     study_config,
 )
 
+from inductionfd.sbp import _BLOCK, BandedStencil
+
 from dense_oracle import dense_rhs_matrix
 from run_pieces import pieces_rhs, run_pieces
 
@@ -463,30 +465,40 @@ class TestAssembledRhs:
 
 class TestStrips:
     """InductionRhs applies every term to one strip of whole rows at a
-    time; any cut must give the one-strip result bit for bit."""
+    time, cut where a block of the x stencil starts; any cut must give the
+    one-strip result bit for bit."""
 
-    @pytest.mark.parametrize("npx, npy", [(9, 13), (23, 17), (240, 200)])
+    @pytest.mark.parametrize("npx, npy", [(9, 13), (23, 17), (240, 200), (15, 6000)])
     @pytest.mark.parametrize("length", [1, 5, 64])
     def test_strip_layout(self, monkeypatch, npx, npy, length):
         monkeypatch.setattr(induction, "STRIP_NODES", length * npy)
-        strips = induction._strips(npx, npy)
-        if npx <= length:
-            assert strips == [((slice(0, 2), slice(0, npx)), 0, 2 * npx)]
-            return
-        # the fewest consecutive strips of at most ``length`` rows, each
-        # inside one component
-        starts = [start for _, start, _ in strips]
-        stops = [stop for _, _, stop in strips]
-        assert starts == [0] + stops[:-1] and stops[-1] == 2 * npx
-        assert len(strips) == 2 * -(-npx // length)
-        for node, start, stop in strips:
-            c = start // npx
-            assert 0 < stop - start <= length and stop <= (c + 1) * npx
-            assert node == (slice(c, c + 1), slice(start - c * npx, stop - c * npx))
+        for order in (2, 4):
+            stencil = BandedStencil(build_sbp(order, npx), -2, 1.0, (npx, npy))
+            lo, blocks = stencil.closure, stencil.full
+            strips = induction._strips(npx, npy, stencil.cuts)
+            if npx <= length or blocks < 2:
+                # small enough, or too short to hold two blocks: not cut
+                assert strips == [(slice(0, 2), slice(0, npx))]
+                continue
+            # consecutive strips of whole rows, the same in each component
+            half = len(strips) // 2
+            assert len(strips) > 2 and strips[half:] == [
+                (slice(1, 2), rows) for _, rows in strips[:half]]
+            starts = [rows.start for _, rows in strips[:half]]
+            stops = [rows.stop for _, rows in strips[:half]]
+            assert starts == [0] + stops[:-1] and stops[-1] == npx
+            for fields, rows in strips[:half]:
+                assert fields == slice(0, 1)
+                # cut only where a block starts, with a whole block inside
+                for cut in (rows.start, rows.stop):
+                    assert cut in (0, npx) or (cut - lo) % _BLOCK == 0
+                inside = [j for j in range(blocks)
+                          if rows.start <= lo + _BLOCK * j <= rows.stop - _BLOCK]
+                assert inside
 
     @pytest.mark.parametrize("scheme", _SCHEMES,
                              ids=["sbp1", "sbp2", "sbp3", "sbp4", "sbp4-study"])
-    @pytest.mark.parametrize("npx, npy", [(9, 13), (14, 10), (23, 17)])
+    @pytest.mark.parametrize("npx, npy", [(9, 13), (14, 10), (23, 17), (41, 9)])
     def test_forced_strips_match_one_strip_and_dense_oracle(self, monkeypatch, scheme,
                                                             npx, npy):
         rng = np.random.default_rng(npx + npy)
@@ -502,21 +514,17 @@ class TestStrips:
                                   alpha=setup.coeffs.max_speed)
         dense = (matrix @ v.ravel()).reshape(v.shape)
         np.testing.assert_allclose(one[1], dense, rtol=0, atol=1e-13)
-        cuts = set()
         for length in (1, 2, 3, 5):
             monkeypatch.setattr(induction, "STRIP_NODES", length * npy)
-            cuts.update(start % npx for _, start, _ in induction._strips(npx, npy))
             for spec in (experiment1(), experiment2()):
                 rhs = assemble(spec, scheme, npx, npy).rhs
-                assert len(rhs._strips) > 2
+                # strips this short cut at every cut the x stencil allows
+                assert len(rhs._strips) == (1 if len(rhs._dx.cuts) == 2
+                                            else 2 * (len(rhs._dx.cuts) - 1))
                 got = rhs(0.4, v)
                 np.testing.assert_array_equal(got, one[spec.id])
                 if spec.id == 1:
                     np.testing.assert_allclose(got, dense, rtol=0, atol=1e-13)
-        # strips start at the component boundary and inside both x-closures
-        assert 0 in cuts
-        if scheme.order == 4:
-            assert cuts & {1, 2, 3} and cuts & {npx - 3, npx - 2, npx - 1}
 
     def test_real_strips_match_one_strip(self, monkeypatch):
         """Experiment 2 at 240 x 200 is cut with the module's own strip size."""

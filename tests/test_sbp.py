@@ -1,8 +1,11 @@
 """Tests for the one-dimensional SBP operators and their 2D application."""
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 
+from inductionfd import induction
 from inductionfd import (
     Grid2D,
     apply_dx,
@@ -211,29 +214,39 @@ def test_stacked_apply_matches_per_field(order):
 
 
 @pytest.mark.parametrize("order, shape", _BLOCK_EDGE_SHAPES)
-def test_row_range_apply_matches_full_apply(order, shape):
-    """Consecutive row ranges of a stack of fields give the full apply bit
-    for bit, along both axes, for derivative and dissipation operators,
-    with ranges cut inside the closures, the interior blocks and across
-    the fields; rows outside a range are not written."""
+def test_row_range_apply_matches_full_apply(monkeypatch, order, shape):
+    """Every strip layout of ``InductionRhs`` and a range of rows between
+    any two cuts of the x stencil, over one or several fields, give the
+    full apply bit for bit along both axes, for derivative and dissipation
+    operators, and write no other node; a range of rows that does not start
+    and end at a cut is rejected."""
     rng = np.random.default_rng(17)
     stack = rng.normal(size=(3,) + shape)
-    rows = stack.shape[0] * shape[0]
     ops = (
         (-2, build_sbp(order, shape[0])),
         (-1, build_sbp(order, shape[1])),
         (-2, build_dissipation(order, "upwind", 0.8, shape[0])),
         (-1, build_dissipation(order, "accurate", 2.5, shape[1])),
     )
+    cuts = BandedStencil(ops[0][1], -2, 1.0, shape).cuts
+    layouts = [[(fields, slice(a, b))] for a, b in combinations(cuts, 2)
+               for fields in (slice(0, 3), slice(1, 2))]
+    for length in (1, 2, 3, 5, 64):
+        monkeypatch.setattr(induction, "STRIP_NODES", length * shape[1])
+        layouts.append(induction._strips(*shape, cuts))
     for axis, op in ops:
         stencil = BandedStencil(op, axis, 0.7, shape)
         full = stencil.apply(stack, np.empty_like(stack))
-        for length in (1, 2, 3, 5):
+        for layout in layouts:
             out = np.full_like(stack, np.nan)
-            for start in range(0, rows, length):
-                stop = min(start + length, rows)
-                assert stencil.apply(stack, out, start, stop) is out
-                flat = out.reshape(rows, -1)
-                assert np.isnan(flat[stop:]).all()
-            np.testing.assert_array_equal(out, full)
+            written = np.zeros(stack.shape, dtype=bool)
+            for index in layout:
+                assert stencil.apply(stack, out, *index) is out
+                written[index] = True
+            np.testing.assert_array_equal(out[written], full[written])
+            assert np.isnan(out[~written]).all()
+        if axis == -2:
+            for rows in (slice(0, shape[0] - 1), slice(1, shape[0]), slice(0, 0)):
+                with pytest.raises(ValueError, match="must start and end at"):
+                    stencil.apply(stack, out, rows=rows)
 

@@ -70,6 +70,10 @@ class TestConfig:
                          "unknown method", id="kwargs0-unknown method"),
             pytest.param(dict(t_final=1.0, fixed_dt=0.0), "fixed_dt",
                          id="kwargs3-fixed_dt"),
+            pytest.param(dict(t_final=1.0, fixed_dt=np.nan), "fixed_dt",
+                         id="nan-fixed_dt"),
+            pytest.param(dict(t_final=1.0, fixed_dt=np.inf), "fixed_dt",
+                         id="inf-fixed_dt"),
         ],
     )
     def test_validation(self, kwargs, match):
@@ -190,6 +194,16 @@ class TestIntegrate:
             hook=lambda k, t, v: steps.append(k), hook_every=2,
         )
         assert steps == [0, 2, 4, 5]
+
+    def test_hook_every_below_one_rejected(self):
+        """Rejected before the first hook call and the first step."""
+        calls = []
+        config = IntegratorConfig(t_final=0.5, fixed_dt=0.1)
+        for every in (0, -1):
+            with pytest.raises(ValueError, match="hook_every"):
+                integrate(np.zeros(1), config, lambda t, v: calls.append(t) or v,
+                          hook=lambda k, t, v: calls.append(k), hook_every=every)
+        assert calls == []
 
     def test_instability_reports_step_and_last_state(self):
         v0 = np.array([1.0])
