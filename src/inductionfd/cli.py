@@ -134,8 +134,8 @@ def parse_args(argv) -> RunConfig:
         scheme = replace(base, **{k: v for k, v in flags.items() if v is not None})
     except ValueError as exc:
         parser.error(str(exc))
-    if ns.tfinal is not None and ns.tfinal < 0:
-        parser.error(f"--tfinal must be nonnegative, got {ns.tfinal}")
+    if ns.tfinal is not None and not 0 <= ns.tfinal < np.inf:
+        parser.error(f"--tfinal must be nonnegative and finite, got {ns.tfinal}")
     if ns.dump_every < 0:
         parser.error(f"--dump-every must be nonnegative, got {ns.dump_every}")
     return RunConfig(

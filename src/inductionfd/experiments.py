@@ -66,10 +66,10 @@ class SchemeConfig:
     and SSPRK(3,2) with it step at an advective Courant number of twice
     ``cfl``, every other combination at ``cfl`` itself (see
     ``COURANT_PER_CFL``).  This is the one place
-    that checks the scheme's inputs: theta >= 1/2 keeps the SAT boundary
-    terms of the energy estimate non-positive, cfl must lie in (0, 1],
-    and the integrator must be one of ``timestep.METHODS`` (``rk2``,
-    ``rk4`` or ``ssp32``).
+    that checks the scheme's inputs: a finite theta >= 1/2 keeps the SAT
+    boundary terms of the energy estimate non-positive, cfl must lie in
+    (0, 1], and the integrator must be one of ``timestep.METHODS``
+    (``rk2``, ``rk4`` or ``ssp32``).
     """
 
     name: str
@@ -85,8 +85,9 @@ class SchemeConfig:
                 f"unknown dissipation mode {self.dissipation!r}, "
                 f"expected one of {DISSIPATION_MODES}"
             )
-        if self.theta < 0.5:
-            raise ValueError(f"penalty factor theta must be >= 0.5, got {self.theta}")
+        if not 0.5 <= self.theta < np.inf:
+            raise ValueError(f"penalty factor theta must be finite and >= 0.5, "
+                             f"got {self.theta}")
         if not (0 < self.cfl <= 1):
             raise ValueError(f"cfl must lie in (0, 1], got {self.cfl}")
         if self.integrator not in METHODS:

@@ -218,12 +218,16 @@ class BoundaryData:
 
 
 #: about the most nodes of one component in one strip of the RHS, the unit
-#: of work that ``InductionRhs`` applies every term to before it moves on:
-#: the eight strip-sized arrays it touches (state, swapped state, result,
-#: scratch, two speeds, two coupling planes) take 2.5 MiB and stay in a
-#: 4 MiB L2 cache.  A strip ends only where a block of the x stencil
-#: starts, so it can hold up to a block of rows more.  Chosen by a sweep
-#: of 20 480 to 81 920, repeated on the block-product stencils (CHANGES.md).
+#: of work that ``InductionRhs`` applies every term to before it moves on.
+#: A strip touches eight arrays of its size (state, swapped state, result,
+#: scratch, two speeds, two coupling planes), 2.5 MiB at this size, about
+#: the 2 MiB L2 cache of one core of the machine it was tuned on.  Each
+#: term is written into the scratch and read back; the scratch is one
+#: buffer of the largest strip's size, reused by every strip and call, so
+#: its lines stay cached.  A strip ends only where a block of the x stencil
+#: starts, so it can hold up to a block of rows more.  Chosen by a sweep of
+#: 20 480 to 81 920, repeated on the block-product stencils and on the
+#: strip-sized scratch (CHANGES.md).
 STRIP_NODES = 40_960
 
 
@@ -265,10 +269,14 @@ class InductionRhs:
     stencil with its h power (``BandedStencil``), the coupling arrays of
     ``coeffs``, the SAT coefficients of ``sat`` in their strided layout,
     the strips with views of the coefficients they multiply, and one
-    scratch buffer.  The exact boundary data is sampled only when t
-    differs from the last time it was sampled, a one-entry memo: RK4's
-    two middle stages share a time, and a step's last stage time is the
-    next step's first.  Zero boundary data samples nothing.
+    scratch buffer the size of the largest strip, not of the state: each
+    strip writes the x derivative straight into its rows of the result
+    and every other term into its own contiguous view of the scratch
+    buffer, which thus stays in cache from strip to strip.  The exact
+    boundary data is sampled only when t differs from the last time it
+    was sampled, a one-entry memo: RK4's two middle stages share a time,
+    and a step's last stage time is the next step's first.  Zero boundary
+    data samples nothing.
 
     Every call returns a fresh array, because the RK stages hold several
     results at once.  The scratch buffer and the memo belong to the
@@ -300,13 +308,14 @@ class InductionRhs:
         self._sample = bdata.all_sides
         self._t = None
         self._g = None
-        self._work = np.empty(self.shape)
-        # per strip: its node index and the views of the coefficients it
-        # multiplies
+        strips = [(node, coeffs.couple_sub[node]) for node in _strips(*shape, self._dx.cuts)]
+        self._scratch = np.empty(max(sub.size for _, sub in strips))
+        # per strip: its node index, its view of the scratch buffer and the
+        # views of the coefficients it multiplies
         self._strips = [
-            (node, coeffs.lam_x[node[1]], coeffs.lam_y[node[1]],
-             coeffs.couple_sub[node], coeffs.couple_add[node])
-            for node in _strips(*shape, self._dx.cuts)
+            (node, self._scratch[: sub.size].reshape(sub.shape), coeffs.lam_x[node[1]],
+             coeffs.lam_y[node[1]], sub, coeffs.couple_add[node])
+            for node, sub in strips
         ]
 
     def boundary_data(self, t: float) -> tuple[np.ndarray, np.ndarray] | None:
@@ -321,12 +330,11 @@ class InductionRhs:
         if v.shape != self.shape:
             raise ValueError(f"state must have shape {self.shape}, got {v.shape}")
         v = np.ascontiguousarray(v, dtype=float)
-        rhs, work, swapped = np.empty(self.shape), self._work, v[::-1]
-        for node, lam_x, lam_y, sub, add in self._strips:
-            r, w = rhs[node], work[node]
-            self._dx.apply(v, rhs, *node)
+        rhs, swapped = np.empty(self.shape), v[::-1]
+        for node, w, lam_x, lam_y, sub, add in self._strips:
+            r = self._dx.apply(v, rhs[node], *node)
             r *= lam_x
-            self._dy.apply(v, work, *node)
+            self._dy.apply(v, w, *node)
             w *= lam_y
             r += w
             np.multiply(sub, v[node], out=w)
@@ -334,7 +342,7 @@ class InductionRhs:
             np.multiply(add, swapped[node], out=w)
             r += w
             for stencil in self._diss:
-                stencil.apply(v, work, *node)
+                stencil.apply(v, w, *node)
                 r += w
 
         sx, sy = self._edge_steps

@@ -11,7 +11,7 @@ evaluated as products of one small banded block with overlapping
 windows of the field, and the closure rows by small dense blocks, along
 either of the last two axes of a field of shape (..., npx, npy).  An apply
 can be limited to a strip of rows that starts and ends on the block
-boundaries of the x stencil.
+boundaries of the x stencil, and then writes an array shaped like the strip.
 """
 
 from __future__ import annotations
@@ -164,17 +164,18 @@ class BandedStencil:
 
     An apply can be limited to some fields and a range of their rows
     (lines of npy nodes), so that a caller can run several operators on
-    one cache-sized strip before it moves on.  The range starts and ends
-    at rows of ``cuts``.  Along x these are the two ends of a field and
-    the starts of its interior blocks but the first and the last, so a
-    range holds whole blocks, at least one, and takes the closure rows
-    and the short block with the ends of the field.  Along y every row
-    is a cut, as each row is a line of its own.  Every node thus gets the
-    same products as in the full apply, bit for bit, as long as BLAS
-    computes each row of a product alike whatever the number of rows: it
-    does for two rows and more, not for a range of one row along y, which
-    no strip is.  What a range needs (the views of its products) is
-    worked out on its first apply and kept.
+    one cache-sized strip before it moves on; it writes an array shaped
+    like the strip, so the caller's buffers need only be that large.  The
+    range starts and ends at rows of ``cuts``.  Along x these are the two
+    ends of a field and the starts of its interior blocks but the first
+    and the last, so a range holds whole blocks, at least one, and takes
+    the closure rows and the short block with the ends of the field.
+    Along y every row is a cut, as each row is a line of its own.  Every
+    node thus gets the same products as in the full apply, bit for bit,
+    as long as BLAS computes each row of a product alike whatever the
+    number of rows: it does for two rows and more, not for a range of one
+    row along y, which no strip is.  What a range needs (the views of its
+    products) is worked out on its first apply and kept.
     """
 
     def __init__(self, op, axis: int, scale: float, shape: tuple[int, int]):
@@ -214,13 +215,14 @@ class BandedStencil:
 
     def apply(self, f: np.ndarray, out: np.ndarray, fields: slice = slice(None),
               rows: slice = slice(None)) -> np.ndarray:
-        """Write the operator applied to ``f`` into ``out[fields, rows]`` and
-        return ``out``; both are C-contiguous float arrays of one shape
-        (fields, npx, npy).
+        """Write the operator applied to ``f[fields, rows]`` into ``out`` and
+        return ``out``.  ``f`` is a C-contiguous float array (fields, npx,
+        npy); ``out`` is one shaped like the strip, (fields, rows, npy), so
+        a caller can keep the strip's result in a buffer of its own size.
 
-        ``fields`` and ``rows`` are slices of the first two axes, by default
-        all of them; ``rows`` must start and end at rows of ``cuts``
-        (ValueError otherwise).  Nodes outside them are left as they are.
+        ``fields`` and ``rows`` are slices of the first two axes of ``f``,
+        by default all of them; ``rows`` must start and end at rows of
+        ``cuts`` (ValueError otherwise).
         """
         key = (fields.start, fields.stop, fields.step, rows.start, rows.stop, rows.step, len(f))
         plan = self._plans.get(key)
@@ -242,10 +244,10 @@ class BandedStencil:
         """(interior, edges) of an apply to the (start, stop, step) ranges
         ``fields`` and ``rows``.  ``interior`` is the batched product of
         the whole blocks in the range, as its block and the (shape, byte
-        offset, byte strides) of its windows in f and of its target in out,
-        or None; ``edges`` holds the closure and short-block products, each
-        as its block and the indices of its other factor in f and of its
-        target in out."""
+        offset, byte strides) of its windows in f and of its target in the
+        strip-shaped out, or None; ``edges`` holds the closure and
+        short-block products, each as its block and the indices of its
+        other factor in f and of its target in out."""
         (f0, f1, f_step), (a, b, step) = fields, rows
         if (f_step, step) != (1, 1) or f0 >= f1 or a >= b or a not in self.cuts \
                 or b not in self.cuts:
@@ -257,43 +259,49 @@ class BandedStencil:
         along_x = self.axis == -2
         first, last = (a == 0, b == npx) if along_x else (True, True)
 
-        def lines(start: int, stop: int) -> tuple:
-            """Index of nodes start..stop along the axis in the range."""
+        def in_f(start: int, stop: int) -> tuple:
+            """Index in f of nodes start..stop along the axis in the range."""
             along = slice(start, stop)
             return (slice(f0, f1), along) if along_x else (slice(f0, f1), slice(a, b), along)
+
+        def in_out(start: int, stop: int) -> tuple:
+            """Index in the strip-shaped out of the same nodes."""
+            return (slice(None), slice(start - a, stop - a)) if along_x else (
+                Ellipsis, slice(start, stop))
 
         height, reach = self.top.shape if along_x else self.top.shape[::-1]
         edges = []
         if first:
-            edges.append((self.top, lines(0, reach), lines(0, height)))
+            edges.append((self.top, in_f(0, reach), in_out(0, height)))
         if last:
-            edges.append((self.bot, lines(n - reach, n), lines(n - height, n)))
+            edges.append((self.bot, in_f(n - reach, n), in_out(n - height, n)))
         if last and short:
             start = lo + _BLOCK * full
-            edges.append((self.tail, lines(start - width, start + short + width),
-                          lines(start, start + short)))
+            edges.append((self.tail, in_f(start - width, start + short + width),
+                          in_out(start, start + short)))
 
         item = np.dtype(float).itemsize
-        line, field = npy * item, npx * npy * item
+        line, field, strip = npy * item, npx * npy * item, (b - a) * npy * item
         if along_x:
             # the whole blocks in the range, each over whole rows of the fields
             j0, j1 = max(a - lo, 0) // _BLOCK, min((b - lo) // _BLOCK, full)
-            base, unit = f0 * field, line
-            strides = (field, _BLOCK * line, line, item)
+            base, out_base, unit = f0 * field, -a * line, line
+            strides = (_BLOCK * line, line, item)
             shape = lambda size: (f1 - f0, j1 - j0, size, npy)
         else:
             # every column block over the range's rows; the rows of whole
             # fields are one run
             j0, j1 = 0, full
             count, run = (1, (f1 - f0) * npx) if (a, b) == (0, npx) else (f1 - f0, b - a)
-            base, unit = (f0 * npx + a) * line, item
-            strides = (field, _BLOCK * item, line, item)
+            base, out_base, unit = (f0 * npx + a) * line, 0, item
+            strides = (_BLOCK * item, line, item)
             shape = lambda size: (count, full, run, size)
         if j0 == j1:
             return None, edges
         start = lo + _BLOCK * j0
-        return (self.block, (shape(_BLOCK + 2 * width), base + (start - width) * unit, strides),
-                (shape(_BLOCK), base + start * unit, strides)), edges
+        return (self.block,
+                (shape(_BLOCK + 2 * width), base + (start - width) * unit, (field, *strides)),
+                (shape(_BLOCK), out_base + start * unit, (strip, *strides))), edges
 
 
 def _apply(op, f: np.ndarray, grid: Grid2D, axis: int, h: float,

@@ -40,6 +40,8 @@ class IntegratorConfig:
     def __post_init__(self) -> None:
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}, expected one of {METHODS}")
+        if not np.isfinite(self.t_final):
+            raise ValueError(f"t_final must be finite, got {self.t_final}")
         if not 0 < self.fixed_dt < np.inf:
             raise ValueError(f"fixed_dt must be positive and finite, got {self.fixed_dt}")
 

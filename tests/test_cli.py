@@ -93,6 +93,11 @@ class TestParseArgs:
             ["--experiment", "1", "--dump-every", "-2"],
             ["--experiment", "1", "--study", "--cfl", "1.5"],
             ["--experiment", "1", "--study", "--theta", "0.2"],
+            ["--experiment", "2", "--nx", "20", "--ny", "20", "--tfinal", "nan"],
+            ["--experiment", "2", "--nx", "20", "--ny", "20", "--tfinal", "inf"],
+            ["--experiment", "2", "--study", "--tfinal", "inf"],
+            ["--experiment", "2", "--nx", "20", "--ny", "20", "--theta", "nan"],
+            ["--experiment", "2", "--nx", "20", "--ny", "20", "--theta", "inf"],
         ],
     )
     def test_usage_errors_exit_1(self, argv, capsys, tmp_path, monkeypatch):

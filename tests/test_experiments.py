@@ -150,7 +150,7 @@ class TestSchemeRegistry:
         with pytest.raises(ValueError, match="dissipation mode"):
             SchemeConfig("bad", order=2, dissipation="hyper")
 
-    @pytest.mark.parametrize("theta", [0.49, 0.0, -1.0])
+    @pytest.mark.parametrize("theta", [0.49, 0.0, -1.0, np.nan, np.inf])
     def test_weak_penalty_rejected(self, theta):
         with pytest.raises(ValueError, match="theta"):
             scheme_config("sbp2", theta=theta)

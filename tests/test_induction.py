@@ -526,6 +526,24 @@ class TestStrips:
                 if spec.id == 1:
                     np.testing.assert_allclose(got, dense, rtol=0, atol=1e-13)
 
+    @pytest.mark.parametrize("npx, npy, length", [(320, 320, None), (240, 200, None),
+                                                  (41, 9, 3), (23, 17, 64)])
+    def test_scratch_holds_largest_strip(self, monkeypatch, npx, npy, length):
+        """The scratch buffer holds the nodes of the largest strip, not of
+        the state, so that it stays in cache; each strip works in a
+        contiguous view of its start, shaped like the strip."""
+        if length is not None:
+            monkeypatch.setattr(induction, "STRIP_NODES", length * npy)
+        rhs = assemble(experiment1(), scheme_config("sbp3"), npx, npy).rhs
+        shapes = [(len(range(2)[fields]), len(range(npx)[rows]), npy)
+                  for (fields, rows), *_ in rhs._strips]
+        assert rhs._scratch.size == max(np.prod(shape) for shape in shapes)
+        if len(shapes) > 1:
+            assert rhs._scratch.size < npx * npy
+        for (_, work, *_), shape in zip(rhs._strips, shapes):
+            assert work.shape == shape and work.flags.c_contiguous
+            assert work.base is rhs._scratch and np.shares_memory(work, rhs._scratch[:1])
+
     def test_real_strips_match_one_strip(self, monkeypatch):
         """Experiment 2 at 240 x 200 is cut with the module's own strip size."""
         v = np.random.default_rng(24).standard_normal((2, 240, 200))

@@ -216,10 +216,10 @@ def test_stacked_apply_matches_per_field(order):
 @pytest.mark.parametrize("order, shape", _BLOCK_EDGE_SHAPES)
 def test_row_range_apply_matches_full_apply(monkeypatch, order, shape):
     """Every strip layout of ``InductionRhs`` and a range of rows between
-    any two cuts of the x stencil, over one or several fields, give the
-    full apply bit for bit along both axes, for derivative and dissipation
-    operators, and write no other node; a range of rows that does not start
-    and end at a cut is rejected."""
+    any two cuts of the x stencil, over one or several fields, write into
+    an ``out`` shaped like the strip the full apply's values there, bit
+    for bit, along both axes, for derivative and dissipation operators; a
+    range of rows that does not start and end at a cut is rejected."""
     rng = np.random.default_rng(17)
     stack = rng.normal(size=(3,) + shape)
     ops = (
@@ -238,15 +238,11 @@ def test_row_range_apply_matches_full_apply(monkeypatch, order, shape):
         stencil = BandedStencil(op, axis, 0.7, shape)
         full = stencil.apply(stack, np.empty_like(stack))
         for layout in layouts:
-            out = np.full_like(stack, np.nan)
-            written = np.zeros(stack.shape, dtype=bool)
             for index in layout:
+                out = np.full_like(stack[index], np.nan)
                 assert stencil.apply(stack, out, *index) is out
-                written[index] = True
-            np.testing.assert_array_equal(out[written], full[written])
-            assert np.isnan(out[~written]).all()
+                np.testing.assert_array_equal(out, full[index])
         if axis == -2:
             for rows in (slice(0, shape[0] - 1), slice(1, shape[0]), slice(0, 0)):
                 with pytest.raises(ValueError, match="must start and end at"):
-                    stencil.apply(stack, out, rows=rows)
-
+                    stencil.apply(stack, np.empty_like(stack[:, rows]), rows=rows)

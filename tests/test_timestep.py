@@ -74,6 +74,10 @@ class TestConfig:
                          id="nan-fixed_dt"),
             pytest.param(dict(t_final=1.0, fixed_dt=np.inf), "fixed_dt",
                          id="inf-fixed_dt"),
+            pytest.param(dict(t_final=np.nan, fixed_dt=0.1), "t_final",
+                         id="nan-t_final"),
+            pytest.param(dict(t_final=np.inf, fixed_dt=0.1), "t_final",
+                         id="inf-t_final"),
         ],
     )
     def test_validation(self, kwargs, match):
