@@ -17,6 +17,7 @@ boundaries of the x stencil, and then writes an array shaped like the strip.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 from typing import Mapping
 
 import numpy as np
@@ -212,6 +213,25 @@ class BandedStencil:
         self.cuts = range(shape[0] + 1) if axis == -1 else (
             0, *range(closure + _BLOCK, closure + _BLOCK * full, _BLOCK), n)
         self._plans = {}
+
+    @classmethod
+    def summed(cls, terms, axis: int, shape: tuple[int, int]) -> "BandedStencil":
+        """One stencil for the sum of ``scale * op`` over the (op, scale)
+        pairs ``terms``, whose operators share n and the shapes of their
+        tables, so that the sum costs one apply.  The tables are summed
+        before they meet the field, so the result may differ in the last
+        bits from the terms applied one by one and then added; a single
+        term gives exactly the stencil of ``cls(op, axis, scale, shape)``."""
+        ops = [op for op, _ in terms]
+        names = ("top", "bot", "interior")
+        if len({(op.n, *(np.shape(getattr(op, name)) for name in names))
+                for op in ops}) != 1:
+            raise ValueError("summed operators must share n and their table shapes")
+        tables = {}
+        for name in names:
+            first, *rest = [np.asarray(getattr(op, name)) * scale for op, scale in terms]
+            tables[name] = sum(rest, first)
+        return cls(SimpleNamespace(n=ops[0].n, **tables), axis, 1.0, shape)
 
     def apply(self, f: np.ndarray, out: np.ndarray, fields: slice = slice(None),
               rows: slice = slice(None)) -> np.ndarray:

@@ -19,6 +19,7 @@ from inductionfd import (
     compute_rhs,
     experiment1,
     experiment2,
+    experiment3,
     integrate,
     make_sat_config,
     rk4_step,
@@ -67,13 +68,29 @@ class TestMagneticField:
 class TestSampleVelocity:
     def test_constant_velocity_has_zero_gradients(self):
         grid = Grid2D(0.0, 1.0, 0.0, 1.0, 9, 9)
-        op = build_sbp(2, 9)
-        coeffs = sample_velocity(lambda x, y: (3.0, -1.5), grid, op, op)
-        np.testing.assert_array_equal(coeffs.lam_x, 3.0)
-        np.testing.assert_array_equal(coeffs.lam_y, -1.5)
-        for g in (coeffs.couple_sub, coeffs.couple_add):
-            np.testing.assert_allclose(g, 0.0, atol=1e-13)
-        assert coeffs.max_speed == pytest.approx(4.5)
+        for order in (2, 4):
+            op = build_sbp(order, 9)
+            coeffs = sample_velocity(lambda x, y: (3.0, -1.5), grid, op, op)
+            np.testing.assert_array_equal(coeffs.lam_x, 3.0)
+            np.testing.assert_array_equal(coeffs.lam_y, -1.5)
+            for g in (coeffs.couple_sub, coeffs.couple_add):
+                np.testing.assert_array_equal(g, 0.0)
+            assert coeffs.max_speed == pytest.approx(4.5)
+
+    @pytest.mark.parametrize("order", [2, 4])
+    def test_only_constant_components_lose_their_gradients(self, order):
+        """A constant u1 next to a varying u2: u1's planes are exactly 0,
+        u2's are the stacked apply's bits."""
+        grid = Grid2D(0.0, 1.0, -1.0, 0.5, 10, 13)
+        op_x, op_y = build_sbp(order, 10), build_sbp(order, 13)
+        coeffs = sample_velocity(lambda x, y: (0.7, np.sin(3.0 * x * y)), grid, op_x, op_y)
+        du2dy, du1dx = coeffs.couple_sub
+        du1dy, du2dx = coeffs.couple_add
+        np.testing.assert_array_equal(du1dx, 0.0)
+        np.testing.assert_array_equal(du1dy, 0.0)
+        u = np.stack([coeffs.lam_x, coeffs.lam_y])
+        assert du2dx.tobytes() == apply_dx(op_x, u, grid)[1].tobytes()
+        assert du2dy.tobytes() == apply_dy(op_y, u, grid)[1].tobytes()
 
     def test_linear_velocity_has_exact_gradients(self):
         """Rotation u = (-y, x) is linear, so SBP gradients are exact."""
@@ -555,3 +572,113 @@ class TestStrips:
         one = assemble(experiment2(), scheme, 240, 200).rhs
         assert len(one._strips) == 1
         np.testing.assert_array_equal(got, one(0.7, v))
+
+
+def _separate_terms_rhs(setup, t, v):
+    """A run's RHS from stencils applied one by one to the whole state, its
+    terms added in the assembled RHS's order: lam_x Dx + lam_y Dy - sub*V
+    + add*swap(V) + Ax + Ay, then the SAT."""
+    grid, pieces = setup.grid, run_pieces(setup)
+    coeffs, sat = pieces.coeffs, pieces.sat
+
+    def applied(op, axis, scale):
+        return BandedStencil(op, axis, scale, grid.shape).apply(v, np.empty(v.shape))
+
+    rhs = (applied(setup.op_x, -2, -(grid.dx**-1)) * coeffs.lam_x
+           + applied(setup.op_y, -1, -(grid.dy**-1)) * coeffs.lam_y
+           - coeffs.couple_sub * v + coeffs.couple_add * v[::-1])
+    for diss, axis, h in ((pieces.diss_x, -2, grid.dx), (pieces.diss_y, -1, grid.dy)):
+        if diss is not None:
+            rhs += applied(diss, axis, h**diss.h_exponent)
+    vx, vy = v[:, ::grid.npx - 1, :], v[:, :, ::grid.npy - 1]
+    g = pieces.bdata.all_sides(t)
+    if g is not None:
+        vx, vy = vx - g[0], vy - g[1]
+    rhs[:, ::grid.npx - 1, :] += sat.coef_x * vx
+    rhs[:, :, ::grid.npy - 1] += sat.coef_y * vy
+    return rhs
+
+
+def _count_applies(monkeypatch):
+    """Patch BandedStencil.apply to count its calls into the returned list."""
+    calls = []
+    apply = BandedStencil.apply
+
+    def counted(self, *args, **kwargs):
+        calls.append(self)
+        return apply(self, *args, **kwargs)
+
+    monkeypatch.setattr(BandedStencil, "apply", counted)
+    return calls
+
+
+class TestConstantSpeeds:
+    """An axis whose speed is one number over the grid is one stencil,
+    c times the derivative plus the axis's dissipation, and coupling
+    planes that are all 0 are not applied; varying speeds keep every
+    term, bit for bit."""
+
+    @pytest.mark.parametrize("speeds", [(1.0, 2.0), (-1.0, 0.5), (1.0, 0.0)],
+                             ids=["1,2", "-1,0.5", "1,0"])
+    @pytest.mark.parametrize("dissipation", ["none", "accurate", "upwind"])
+    @pytest.mark.parametrize("order", [2, 4])
+    def test_merged_rhs_matches_dense_oracle(self, monkeypatch, order, dissipation,
+                                             speeds):
+        velocity = lambda x, y: speeds
+        rng = np.random.default_rng(order + len(dissipation))
+        for npx, npy in [(9, 13), (41, 9), (34, 11)]:
+            grid = Grid2D(0.0, 1.0, -0.5, 1.0, npx, npy)
+            op_x, op_y, coeffs, sat, _, _ = _setup(grid, order, velocity=velocity)
+            diss = (None, None)
+            if dissipation != "none":
+                diss = [build_dissipation(order, dissipation, coeffs.max_speed, n)
+                        for n in grid.shape]
+            matrix = dense_rhs_matrix(grid, order, velocity, dissipation=dissipation,
+                                      alpha=coeffs.max_speed)
+            v = rng.standard_normal((2, npx, npy))
+            dense = (matrix @ v.ravel()).reshape(v.shape)
+            for length in (None, 1, 3):
+                if length is not None:
+                    monkeypatch.setattr(induction, "STRIP_NODES", length * npy)
+                rhs = InductionRhs(grid, coeffs, BoundaryData.zero(grid), sat, op_x, op_y,
+                                   *diss)
+                assert rhs._diss == [] and all(
+                    strip[2:] == (None,) * 4 for strip in rhs._strips)
+                if length is not None and npx > 9:
+                    assert len(rhs._strips) > 2
+                np.testing.assert_allclose(rhs(0.0, v), dense, rtol=0,
+                                           atol=1e-13 * np.abs(dense).max())
+            monkeypatch.undo()
+
+    @pytest.mark.parametrize("scheme", _SCHEMES,
+                             ids=["sbp1", "sbp2", "sbp3", "sbp4", "sbp4-study"])
+    @pytest.mark.parametrize("experiment", [experiment1, experiment2])
+    def test_varying_speeds_apply_every_term(self, monkeypatch, experiment, scheme):
+        rng = np.random.default_rng(7)
+        for npx, npy in [(14, 10), (41, 9)]:
+            setup = assemble(experiment(), scheme, npx, npy)
+            v = rng.standard_normal((2, npx, npy))
+            want = _separate_terms_rhs(setup, 0.4, v)
+            assert setup.rhs(0.4, v).tobytes() == want.tobytes()
+            monkeypatch.setattr(induction, "STRIP_NODES", npy)
+            rhs = assemble(experiment(), scheme, npx, npy).rhs
+            assert rhs(0.4, v).tobytes() == want.tobytes()
+            monkeypatch.undo()
+
+    @pytest.mark.parametrize("name", ["sbp1", "sbp2", "sbp3", "sbp4"])
+    @pytest.mark.parametrize("length", [None, 1])
+    def test_applies_per_strip(self, monkeypatch, name, length):
+        """Two stencil applies per strip for a constant velocity, one per
+        axis; a varying one adds the dissipation per axis."""
+        npx, npy = 41, 9
+        if length is not None:
+            monkeypatch.setattr(induction, "STRIP_NODES", length * npy)
+        v = np.random.default_rng(2).standard_normal((2, npx, npy))
+        calls = _count_applies(monkeypatch)
+        for spec, per_strip in ((experiment3(), 2),
+                                (experiment2(), 4 if name in ("sbp1", "sbp3") else 2)):
+            rhs = assemble(spec, scheme_config(name), npx, npy).rhs
+            assert (len(rhs._strips) > 2) == (length is not None)
+            calls.clear()
+            rhs(0.3, v)
+            assert len(calls) == per_strip * len(rhs._strips)

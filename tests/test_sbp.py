@@ -246,3 +246,27 @@ def test_row_range_apply_matches_full_apply(monkeypatch, order, shape):
             for rows in (slice(0, shape[0] - 1), slice(1, shape[0]), slice(0, 0)):
                 with pytest.raises(ValueError, match="must start and end at"):
                     stencil.apply(stack, np.empty_like(stack[:, rows]), rows=rows)
+
+
+@pytest.mark.parametrize("order, shape", _BLOCK_EDGE_SHAPES)
+def test_summed_stencil_is_the_sum_of_its_terms(order, shape):
+    """A summed stencil applies the sum of its scaled operators in one
+    apply, within round-off of the terms applied one by one; one term is
+    the plain stencil bit for bit; operators of different table shapes or
+    sizes are rejected."""
+    stack = np.random.default_rng(5).normal(size=(2,) + shape)
+    for axis, n in ((-2, shape[0]), (-1, shape[1])):
+        d, a = build_sbp(order, n), build_dissipation(order, "upwind", 3.0, n)
+        terms = [(d, -2.0 * (n - 1)), (a, 1.0 * (n - 1))]
+        want = sum(BandedStencil(op, axis, scale, shape).apply(stack, np.empty_like(stack))
+                   for op, scale in terms)
+        got = BandedStencil.summed(terms, axis, shape).apply(stack, np.empty_like(stack))
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.abs(want).max())
+        one, plain = BandedStencil.summed(terms[:1], axis, shape), BandedStencil(
+            d, axis, terms[0][1], shape)
+        for name in ("block", "tail", "top", "bot"):
+            assert getattr(one, name).tobytes() == getattr(plain, name).tobytes()
+        with pytest.raises(ValueError, match="must share"):
+            BandedStencil.summed([(d, 1.0), (build_sbp(order, n + 1), 1.0)], axis, shape)
+    with pytest.raises(ValueError, match="must share"):
+        BandedStencil.summed([(build_sbp(2, 8), 1.0), (build_sbp(4, 8), 1.0)], -2, (8, 8))
