@@ -206,22 +206,12 @@ def write_field_dump(field: MagneticField, div: np.ndarray, path, meta: dict) ->
             fh.write(row_format % tuple(cells.ravel()))
 
 
-def _make_out_dir(out: Path) -> bool:
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        print(f"cannot create output directory {out}: {exc}", file=sys.stderr)
-        return False
-    return True
-
-
 def _run_study(config: RunConfig) -> int:
     # the large-domain hump is studied with its exact boundary trace
     spec = study_spec(get_experiment(config.experiment))
     scheme = config.scheme
     out = config.out
-    if not _make_out_dir(out):
-        return 1
+    out.mkdir(parents=True, exist_ok=True)
     results = run_convergence_study(spec, [scheme], t_final=config.t_final)
     records = results[scheme.name]
     table = out / f"table_exp{config.experiment}_{scheme.name}.csv"
@@ -242,8 +232,7 @@ def _run_once(config: RunConfig) -> int:
         print(f"inductionfd: error: {exc}", file=sys.stderr)
         return 1
     out = config.out
-    if not _make_out_dir(out):
-        return 1
+    out.mkdir(parents=True, exist_ok=True)
     t_final = spec.t_final if config.t_final is None else config.t_final
     meta = {
         "experiment": config.experiment,
@@ -287,9 +276,13 @@ def main(argv=None) -> int:
                 print(exc.code, file=sys.stderr)
             return 1
         return 0
-    if config.study:
-        return _run_study(config)
-    return _run_once(config)
+    try:
+        return _run_study(config) if config.study else _run_once(config)
+    except OSError as exc:
+        # the runs read no files: this is a failed output write
+        print(f"inductionfd: error: cannot write {exc.filename or config.out}: "
+              f"{exc.strerror or exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

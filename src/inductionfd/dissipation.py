@@ -30,11 +30,12 @@ _SCALINGS = ("accurate", "upwind")
 
 @dataclass(frozen=True)
 class DissipationOperator1D:
-    """Banded dissipation operator sharing the apply protocol of the SBP ops.
+    """Banded dissipation operator A, applied like the SBP operators.
 
-    ``top``, ``bot`` and ``interior`` are the dimensionless rows of
-    h^{-h_exponent} * A; ``h_exponent`` is 0 for ``accurate`` scaling and
-    -1 for ``upwind``.
+    A ``BandedStencil`` reads from it what it reads from an SBP operator:
+    the node count ``n``, the dimensionless rows ``top``, ``bot`` and
+    ``interior`` of h^{-h_exponent} * A, and ``h_exponent``, which is 0
+    for ``accurate`` scaling and -1 for ``upwind``.
     """
 
     order: int

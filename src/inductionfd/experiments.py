@@ -318,10 +318,7 @@ def assemble(
     op_x = build_sbp(scheme.order, npx)
     op_y = op_x if npy == npx else build_sbp(scheme.order, npy)
     coeffs = sample_velocity(spec.velocity, grid, op_x, op_y)
-    if spec.boundary_mode == "zero":
-        bdata = BoundaryData.zero(grid)
-    else:
-        bdata = BoundaryData.from_exact(grid, spec.exact)
+    bdata = BoundaryData(grid, None if spec.boundary_mode == "zero" else spec.exact)
     sat = make_sat_config(coeffs, grid, op_x, op_y, scheme.theta)
     diss_x = diss_y = None
     if scheme.dissipation != "none":

@@ -187,47 +187,48 @@ def make_sat_config(
 
 @dataclass(frozen=True)
 class BoundaryData:
-    """Dirichlet data evaluator for the four sides of the domain.
+    """Dirichlet data for the four sides of the domain.
 
-    ``mode`` is ``zero`` or ``exact``.  In ``exact`` mode ``exact`` is a
-    callable (X, Y, t) -> (B1, B2) sampled on the boundary nodes, in the
-    layout of :class:`SatConfig`: the x sides as (2, npy) and the y sides
-    as (npx, 2), concatenated so that one call samples all four sides.
+    ``exact`` is None for zero data, or a callable (X, Y, t) -> (B1, B2)
+    sampled on the boundary nodes, in the layout of :class:`SatConfig`:
+    the x sides as (2, npy) and the y sides as (npx, 2), concatenated so
+    that one call samples all four sides.
     """
 
     grid: Grid2D
-    mode: str
     exact: Callable | None = None
     _coords: tuple = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self) -> None:
-        if self.mode not in ("zero", "exact"):
-            raise ValueError(f"unknown boundary mode {self.mode!r}")
-        if self.mode == "exact" and self.exact is None:
-            raise ValueError("exact boundary mode needs an exact-solution callable")
-        if self.mode == "exact":
-            grid = self.grid
-            ends_x, ends_y = (grid.xmin, grid.xmax), (grid.ymin, grid.ymax)
-            side_x = np.concatenate([np.repeat(ends_x, grid.npy), np.repeat(grid.x, 2)])
-            side_y = np.concatenate([np.tile(grid.y, 2), np.tile(ends_y, grid.npx)])
-            object.__setattr__(self, "_coords", (side_x, side_y))
+        if self.exact is None:
+            return
+        if not callable(self.exact):
+            raise ValueError(f"boundary data must be None or a callable "
+                             f"(X, Y, t) -> (B1, B2), got {self.exact!r}")
+        grid = self.grid
+        ends_x, ends_y = (grid.xmin, grid.xmax), (grid.ymin, grid.ymax)
+        side_x = np.concatenate([np.repeat(ends_x, grid.npy), np.repeat(grid.x, 2)])
+        side_y = np.concatenate([np.tile(grid.y, 2), np.tile(ends_y, grid.npx)])
+        object.__setattr__(self, "_coords", (side_x, side_y))
 
     @classmethod
     def zero(cls, grid: Grid2D) -> "BoundaryData":
-        return cls(grid, "zero")
+        return cls(grid)
 
     @classmethod
     def from_exact(cls, grid: Grid2D, exact: Callable) -> "BoundaryData":
-        return cls(grid, "exact", exact=exact)
+        if exact is None:
+            raise ValueError("exact boundary data needs an exact-solution callable")
+        return cls(grid, exact)
 
     def all_sides(self, t: float) -> tuple[np.ndarray, np.ndarray] | None:
         """Data on all four sides at time t as read-only (g_x, g_y).
 
         ``g_x`` of shape (2, 2, npy) matches ``V[:, ::npx-1, :]`` and
         ``g_y`` of shape (2, npx, 2) matches ``V[:, :, ::npy-1]``.  Zero
-        mode returns None and evaluates nothing.
+        data returns None and evaluates nothing.
         """
-        if self.mode == "zero":
+        if self.exact is None:
             return None
         side_x, side_y = self._coords
         g = np.empty((2, side_x.size))
@@ -289,8 +290,8 @@ class InductionRhs:
     stencil, so every node gets the block products of the one-strip
     apply, and the result does not depend on the cut, bit for bit.
     Everything that does not change between calls is built here: per
-    axis the derivative stencil with -1/h folded in and the dissipation
-    stencil with its h power (``BandedStencil``), the coupling arrays of
+    axis the stencils of -D and of the dissipation (``BandedStencil``,
+    which scales each by its power of h), the coupling arrays of
     ``coeffs``, the SAT coefficients of ``sat`` in their strided layout,
     the strips with views of the coefficients they multiply, and one
     scratch buffer the size of the largest strip, not of the state: each
@@ -303,18 +304,14 @@ class InductionRhs:
     data samples nothing.
 
     An axis whose sampled speed is one number c over the grid, as in the
-    translation of experiment 3, is one stencil (``BandedStencil.summed``)
-    with the table -c/h D + h^e A, A the axis's dissipation if it has
-    one: with upwind dissipation, the upwind SBP operator of Mattsson
-    (JCP 335, 2017).  That axis has no speed multiply and no dissipation
-    apply of its own.  A coupling pair (``couple_sub`` or ``couple_add``)
+    translation of experiment 3, is one stencil of the terms -c D and A,
+    A the axis's dissipation if it has one: with upwind dissipation, the
+    upwind SBP operator of Mattsson (JCP 335, 2017).  That axis has no
+    speed multiply and no dissipation apply of its own.  A coupling pair (``couple_sub`` or ``couple_add``)
     whose planes are all exactly 0, as ``sample_velocity`` gives a
     constant velocity, is not applied.  A constant velocity thus costs
     two stencil applies and one add per strip, where varying speeds
     apply every term above, bit for bit as when each is applied alone.
-    On experiment 3 at 160² (1 BLAS thread, exact data sampled every
-    call) an ``sbp1`` call takes about 0.27 ms against 0.70 ms with every
-    term applied, and ``sbp4`` 0.29 against 0.48 ms (CHANGES.md).
 
     Every call returns a fresh array, because the RK stages hold several
     results at once.  The scratch buffer and the memo belong to the
@@ -335,23 +332,20 @@ class InductionRhs:
         shape = grid.shape
         self.shape = (2,) + shape
         # per axis: the derivative stencil and the speeds it is multiplied
-        # by, or, where the speed is one number, one stencil summed from
-        # the derivative times that speed and the axis's dissipation, and
-        # no speeds (None)
+        # by, or, where the speed is one number c, the stencil of -c times
+        # the derivative plus the axis's dissipation, and no speeds (None)
         self._diss = []
         axes = []
-        for axis, op, diss, h, lam in ((-2, op_x, diss_x, grid.dx, coeffs.lam_x),
-                                       (-1, op_y, diss_y, grid.dy, coeffs.lam_y)):
-            speed, scale = _uniform(lam), -(h**op.h_exponent)
+        for axis, op, diss, lam in ((-2, op_x, diss_x, coeffs.lam_x),
+                                    (-1, op_y, diss_y, coeffs.lam_y)):
+            speed = _uniform(lam)
+            dissipation = [] if diss is None else [(diss, 1.0)]
             if speed is None:
-                axes.append((BandedStencil(op, axis, scale, shape), lam))
-                if diss is not None:
-                    self._diss.append(BandedStencil(diss, axis, h**diss.h_exponent, shape))
+                axes.append((BandedStencil([(op, -1.0)], axis, grid), lam))
+                if dissipation:
+                    self._diss.append(BandedStencil(dissipation, axis, grid))
             else:
-                terms = [(op, scale * speed)]
-                if diss is not None:
-                    terms.append((diss, h**diss.h_exponent))
-                axes.append((BandedStencil.summed(terms, axis, shape), None))
+                axes.append((BandedStencil([(op, -speed)] + dissipation, axis, grid), None))
         (self._dx, lam_x), (self._dy, lam_y) = axes
         sub, add = (None if _uniform(c) == 0 else c
                     for c in (coeffs.couple_sub, coeffs.couple_add))

@@ -6,18 +6,19 @@ split into an interior stencil plus explicit boundary-closure rows.  The
 derivative is D = P^{-1} Q / h and satisfies Q + Q^T = diag(-1, 0, ..., 0, 1),
 which is what every energy estimate in this package rests on.
 
-Application is matrix-free (``BandedStencil``): interior rows are
-evaluated as products of one small banded block with overlapping
-windows of the field, and the closure rows by small dense blocks, along
-either of the last two axes of a field of shape (..., npx, npy).  An apply
-can be limited to a strip of rows that starts and ends on the block
+Application is matrix-free (``BandedStencil``): a stencil holds a
+weighted sum of operators along one axis, each scaled by its own power
+of the grid spacing, so no caller handles h.  Interior rows are
+evaluated as products of one small banded block with overlapping windows
+of the field, and the closure rows by small dense blocks, along either
+of the last two axes of a field of shape (..., npx, npy).  An apply can
+be limited to a strip of rows that starts and ends on the block
 boundaries of the x stencil, and then writes an array shaped like the strip.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from types import SimpleNamespace
 from typing import Mapping
 
 import numpy as np
@@ -143,16 +144,15 @@ def build_sbp(order: int, n: int) -> SbpOperator1D:
 
 
 class BandedStencil:
-    """A banded 1D operator along one axis of arrays (fields, npx, npy),
-    with every constant of its application computed once.
+    """A weighted sum of banded 1D operators along one axis of arrays
+    (fields, npx, npy), scaled by the grid, with every constant of its
+    application computed once.
 
-    ``scale`` multiplies the operator's tables: the grid-spacing power,
-    and any sign the caller folds in.  The interior rows are applied in
-    blocks of ``_BLOCK`` consecutive nodes: one constant block matrix of
-    ``_BLOCK`` rows by ``_BLOCK`` + 2w columns (w the stencil half-width,
-    ``scale`` folded in) holds the interior row shifted by one column per
-    row, and it multiplies windows of ``_BLOCK`` + 2w input lines taken
-    every ``_BLOCK`` lines: whole rows along x (block times window), whole
+    The interior rows are applied in blocks of ``_BLOCK`` consecutive
+    nodes: one constant block matrix of ``_BLOCK`` rows by ``_BLOCK`` + 2w
+    columns (w the stencil half-width) holds the summed interior row
+    shifted by one column per row, and it multiplies windows of
+    ``_BLOCK`` + 2w input lines taken every ``_BLOCK`` lines: whole rows along x (block times window), whole
     columns along y (window times the block's transpose).  The windows
     overlap, so they and the output blocks are strided views of the
     operands' buffers, and the full blocks of an apply are one batched
@@ -179,24 +179,43 @@ class BandedStencil:
     products) is worked out on its first apply and kept.
     """
 
-    def __init__(self, op, axis: int, scale: float, shape: tuple[int, int]):
-        """``axis`` is -2 (x) or -1 (y) of arrays (fields, *shape)."""
-        n = shape[axis]
-        if op.n != n:
-            raise ValueError(f"operator built for {op.n} points, grid has "
+    def __init__(self, terms, axis: int, grid: Grid2D):
+        """The stencil of the sum of ``factor * h**op.h_exponent * op`` over
+        the (op, factor) pairs ``terms``, along ``axis``, -2 (x) or -1 (y),
+        of arrays (fields, npx, npy) on ``grid``; h is the grid's spacing
+        along that axis.
+
+        From each operator it reads the node count ``n``, the dimensionless
+        tables ``top`` (closure rows), ``bot`` and ``interior`` (the
+        interior row), and ``h_exponent``, the power of h that turns the
+        tables into the operator: -1 for D = P^{-1} Q / h.  The scaled
+        tables are summed in list order before they meet a field, so the
+        sum may differ in the last bits from the terms applied one by one
+        and added; a single term is its tables times one scale."""
+        names = ("top", "bot", "interior")
+        if len({(op.n, *(np.shape(getattr(op, name)) for name in names))
+                for op, _ in terms}) != 1:
+            raise ValueError("a stencil needs one or more (operator, factor) terms "
+                             "whose operators share n and their table shapes")
+        shape = grid.shape
+        n, h = shape[axis], grid.dx if axis == -2 else grid.dy
+        if terms[0][0].n != n:
+            raise ValueError(f"operator built for {terms[0][0].n} points, grid has "
                              f"{'npx' if axis == -2 else 'npy'}={n}")
-        interior = np.asarray(op.interior) * scale
+        # per table, the scaled terms summed in list order
+        top, bot, interior = (sum(rest, first) for first, *rest in zip(*(
+            [np.asarray(getattr(op, name)) * (factor * h**op.h_exponent) for name in names]
+            for op, factor in terms)))
         width = len(interior) // 2
         block = np.zeros((_BLOCK, _BLOCK + 2 * width))
         for i in range(_BLOCK):
             block[i, i : i + len(interior)] = interior
-        closure = op.top.shape[0]
+        closure = top.shape[0]
         if width > closure:
             raise ValueError(f"interior stencil half-width {width} exceeds the "
                              f"{closure} closure rows")
         full, short = divmod(n - 2 * closure, _BLOCK)
         tail = block[:short, : short + 2 * width]
-        top, bot = op.top * scale, op.bot * scale
         if axis == -1:
             top, bot, block, tail = top.T, bot.T, block.T, tail.T
         self.axis = axis
@@ -213,25 +232,6 @@ class BandedStencil:
         self.cuts = range(shape[0] + 1) if axis == -1 else (
             0, *range(closure + _BLOCK, closure + _BLOCK * full, _BLOCK), n)
         self._plans = {}
-
-    @classmethod
-    def summed(cls, terms, axis: int, shape: tuple[int, int]) -> "BandedStencil":
-        """One stencil for the sum of ``scale * op`` over the (op, scale)
-        pairs ``terms``, whose operators share n and the shapes of their
-        tables, so that the sum costs one apply.  The tables are summed
-        before they meet the field, so the result may differ in the last
-        bits from the terms applied one by one and then added; a single
-        term gives exactly the stencil of ``cls(op, axis, scale, shape)``."""
-        ops = [op for op, _ in terms]
-        names = ("top", "bot", "interior")
-        if len({(op.n, *(np.shape(getattr(op, name)) for name in names))
-                for op in ops}) != 1:
-            raise ValueError("summed operators must share n and their table shapes")
-        tables = {}
-        for name in names:
-            first, *rest = [np.asarray(getattr(op, name)) * scale for op, scale in terms]
-            tables[name] = sum(rest, first)
-        return cls(SimpleNamespace(n=ops[0].n, **tables), axis, 1.0, shape)
 
     def apply(self, f: np.ndarray, out: np.ndarray, fields: slice = slice(None),
               rows: slice = slice(None)) -> np.ndarray:
@@ -324,8 +324,7 @@ class BandedStencil:
                 (shape(_BLOCK), out_base + start * unit, (strip, *strides))), edges
 
 
-def _apply(op, f: np.ndarray, grid: Grid2D, axis: int, h: float,
-           out: np.ndarray | None) -> np.ndarray:
+def _apply(op, f: np.ndarray, grid: Grid2D, axis: int, out: np.ndarray | None) -> np.ndarray:
     if f.ndim < 2 or f.shape[-2:] != grid.shape:
         raise ValueError(f"field shape {f.shape} does not match grid {grid.shape}")
     f = np.ascontiguousarray(f, dtype=float)
@@ -334,8 +333,7 @@ def _apply(op, f: np.ndarray, grid: Grid2D, axis: int, h: float,
     elif out.shape != f.shape or not out.flags.c_contiguous:
         raise ValueError(f"out must be a C-contiguous array of shape {f.shape}")
     fields = (-1,) + grid.shape
-    BandedStencil(op, axis, h**op.h_exponent, grid.shape).apply(f.reshape(fields),
-                                                                 out.reshape(fields))
+    BandedStencil([(op, 1.0)], axis, grid).apply(f.reshape(fields), out.reshape(fields))
     return out
 
 
@@ -345,7 +343,7 @@ def apply_dx(op, f: np.ndarray, grid: Grid2D, out: np.ndarray | None = None) -> 
     Leading axes are stacked fields (such as the two components of B),
     each transformed alike.  The result goes to ``out`` when given.
     """
-    return _apply(op, f, grid, -2, grid.dx, out)
+    return _apply(op, f, grid, -2, out)
 
 
 def apply_dy(op, f: np.ndarray, grid: Grid2D, out: np.ndarray | None = None) -> np.ndarray:
@@ -354,7 +352,7 @@ def apply_dy(op, f: np.ndarray, grid: Grid2D, out: np.ndarray | None = None) -> 
     Leading axes are stacked fields (such as the two components of B),
     each transformed alike.  The result goes to ``out`` when given.
     """
-    return _apply(op, f, grid, -1, grid.dy, out)
+    return _apply(op, f, grid, -1, out)
 
 
 @dataclass(frozen=True)

@@ -241,6 +241,32 @@ class TestSingleRun:
         assert not (tmp_path / "error_table.csv").exists()
 
 
+class TestFailedWrites:
+    """An output file that cannot be written ends the run with a one-line
+    error naming it and exit code 1, not a traceback."""
+
+    @pytest.mark.parametrize("target, argv", [
+        ("fields_step000000.csv", ["--dump-every", "5"]),
+        ("fields_final.csv", []),
+        ("error_table.csv", []),
+        ("table_exp3_sbp1.csv", ["--study"]),
+    ], ids=["dump", "fields-final", "error-table", "study-table"])
+    def test_directory_at_target_exits_1(self, tmp_path, capsys, target, argv):
+        (tmp_path / target).mkdir()
+        code = main(["--experiment", "3", "--scheme", "sbp1", "--nx", "12", "--ny", "12",
+                     "--tfinal", "0.05", "--out", str(tmp_path), *argv])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == f"inductionfd: error: cannot write {tmp_path / target}: Is a directory\n"
+
+    def test_file_at_output_directory_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.write_text("")
+        assert main(["--experiment", "3", "--nx", "12", "--ny", "12", "--tfinal", "0",
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"inductionfd: error: cannot write {out}: ")
+
+
 class TestWriteFieldDump:
     @staticmethod
     def _per_node(x, y, data, mag, div, meta):

@@ -258,10 +258,11 @@ class TestAssemble:
         assert_rhs_applies(setup, pieces)
 
     def test_boundary_mode_follows_spec(self):
-        for spec, mode in ((experiment1(), "zero"), (experiment2(), "exact")):
+        """Zero data for experiment 1, its exact solution for experiment 2."""
+        for spec, exact in ((experiment1(), None), (experiment2(), experiment2().exact)):
             setup = assemble(spec, scheme_config("sbp2"), 12, 12)
             pieces = run_pieces(setup)
-            assert pieces.bdata.mode == mode
+            assert pieces.bdata.exact is exact
             assert_rhs_applies(setup, pieces)
 
     def test_rectangular_grid(self):

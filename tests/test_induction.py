@@ -181,13 +181,15 @@ class TestBoundaryTrace:
         np.testing.assert_array_equal(g_y, np.stack(exact(xx[:, ::4], yy[:, ::4], 0.0)))
 
     def test_mode_validation(self):
+        """The data is zero (None) or an exact-solution callable; anything
+        else, and ``from_exact`` without a callable, is rejected."""
         grid = Grid2D(0.0, 1.0, 0.0, 1.0, 4, 4)
-        with pytest.raises(ValueError, match="unknown boundary mode"):
-            BoundaryData(grid, "periodic")
-        with pytest.raises(ValueError, match="callable"):
-            BoundaryData(grid, "exact")
-        with pytest.raises(ValueError, match="unknown boundary mode"):
-            BoundaryData(grid, "table")
+        assert BoundaryData(grid) == BoundaryData(grid, None) == BoundaryData.zero(grid)
+        for exact in ("zero", "exact", 0.0):
+            with pytest.raises(ValueError, match="must be None or a callable"):
+                BoundaryData(grid, exact)
+        with pytest.raises(ValueError, match="needs an exact-solution callable"):
+            BoundaryData.from_exact(grid, None)
 
 
 class TestComputeRhs:
@@ -490,7 +492,8 @@ class TestStrips:
     def test_strip_layout(self, monkeypatch, npx, npy, length):
         monkeypatch.setattr(induction, "STRIP_NODES", length * npy)
         for order in (2, 4):
-            stencil = BandedStencil(build_sbp(order, npx), -2, 1.0, (npx, npy))
+            grid = Grid2D(0.0, 1.0, 0.0, 1.0, npx, npy)
+            stencil = BandedStencil([(build_sbp(order, npx), 1.0)], -2, grid)
             lo, blocks = stencil.closure, stencil.full
             strips = induction._strips(npx, npy, stencil.cuts)
             if npx <= length or blocks < 2:
@@ -581,15 +584,15 @@ def _separate_terms_rhs(setup, t, v):
     grid, pieces = setup.grid, run_pieces(setup)
     coeffs, sat = pieces.coeffs, pieces.sat
 
-    def applied(op, axis, scale):
-        return BandedStencil(op, axis, scale, grid.shape).apply(v, np.empty(v.shape))
+    def applied(op, axis, factor):
+        return BandedStencil([(op, factor)], axis, grid).apply(v, np.empty(v.shape))
 
-    rhs = (applied(setup.op_x, -2, -(grid.dx**-1)) * coeffs.lam_x
-           + applied(setup.op_y, -1, -(grid.dy**-1)) * coeffs.lam_y
+    rhs = (applied(setup.op_x, -2, -1.0) * coeffs.lam_x
+           + applied(setup.op_y, -1, -1.0) * coeffs.lam_y
            - coeffs.couple_sub * v + coeffs.couple_add * v[::-1])
-    for diss, axis, h in ((pieces.diss_x, -2, grid.dx), (pieces.diss_y, -1, grid.dy)):
+    for diss, axis in ((pieces.diss_x, -2), (pieces.diss_y, -1)):
         if diss is not None:
-            rhs += applied(diss, axis, h**diss.h_exponent)
+            rhs += applied(diss, axis, 1.0)
     vx, vy = v[:, ::grid.npx - 1, :], v[:, :, ::grid.npy - 1]
     g = pieces.bdata.all_sides(t)
     if g is not None:

@@ -16,7 +16,7 @@ from inductionfd import (
 )
 from inductionfd.sbp import EXACT_DEGREE, BandedStencil
 
-from dense_oracle import dense_d, dense_p, dense_q
+from dense_oracle import dense_d, dense_dissipation, dense_p, dense_q
 
 
 @pytest.mark.parametrize("order", [2, 4])
@@ -228,14 +228,15 @@ def test_row_range_apply_matches_full_apply(monkeypatch, order, shape):
         (-2, build_dissipation(order, "upwind", 0.8, shape[0])),
         (-1, build_dissipation(order, "accurate", 2.5, shape[1])),
     )
-    cuts = BandedStencil(ops[0][1], -2, 1.0, shape).cuts
+    grid = Grid2D(0.0, 1.0, 0.0, 1.0, *shape)
+    cuts = BandedStencil([(ops[0][1], 1.0)], -2, grid).cuts
     layouts = [[(fields, slice(a, b))] for a, b in combinations(cuts, 2)
                for fields in (slice(0, 3), slice(1, 2))]
     for length in (1, 2, 3, 5, 64):
         monkeypatch.setattr(induction, "STRIP_NODES", length * shape[1])
         layouts.append(induction._strips(*shape, cuts))
     for axis, op in ops:
-        stencil = BandedStencil(op, axis, 0.7, shape)
+        stencil = BandedStencil([(op, 0.7)], axis, grid)
         full = stencil.apply(stack, np.empty_like(stack))
         for layout in layouts:
             for index in layout:
@@ -250,23 +251,39 @@ def test_row_range_apply_matches_full_apply(monkeypatch, order, shape):
 
 @pytest.mark.parametrize("order, shape", _BLOCK_EDGE_SHAPES)
 def test_summed_stencil_is_the_sum_of_its_terms(order, shape):
-    """A summed stencil applies the sum of its scaled operators in one
-    apply, within round-off of the terms applied one by one; one term is
-    the plain stencil bit for bit; operators of different table shapes or
-    sizes are rejected."""
+    """A stencil of two terms applies the sum of its operators, each times
+    its factor and its power of the grid spacing: within round-off of the
+    one-term stencils applied one by one and of the dense matrices.  A
+    one-term stencil holds the operator's closure rows times that scale,
+    bit for bit."""
     stack = np.random.default_rng(5).normal(size=(2,) + shape)
-    for axis, n in ((-2, shape[0]), (-1, shape[1])):
+    grid = Grid2D(-1.0, 1.5, 0.0, 2.0, *shape)
+    for axis, n, h in ((-2, shape[0], grid.dx), (-1, shape[1], grid.dy)):
         d, a = build_sbp(order, n), build_dissipation(order, "upwind", 3.0, n)
-        terms = [(d, -2.0 * (n - 1)), (a, 1.0 * (n - 1))]
-        want = sum(BandedStencil(op, axis, scale, shape).apply(stack, np.empty_like(stack))
-                   for op, scale in terms)
-        got = BandedStencil.summed(terms, axis, shape).apply(stack, np.empty_like(stack))
-        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.abs(want).max())
-        one, plain = BandedStencil.summed(terms[:1], axis, shape), BandedStencil(
-            d, axis, terms[0][1], shape)
-        for name in ("block", "tail", "top", "bot"):
-            assert getattr(one, name).tobytes() == getattr(plain, name).tobytes()
-        with pytest.raises(ValueError, match="must share"):
-            BandedStencil.summed([(d, 1.0), (build_sbp(order, n + 1), 1.0)], axis, shape)
-    with pytest.raises(ValueError, match="must share"):
-        BandedStencil.summed([(build_sbp(2, 8), 1.0), (build_sbp(4, 8), 1.0)], -2, (8, 8))
+        terms = [(d, -2.0), (a, 1.0)]
+        want = sum(BandedStencil([term], axis, grid).apply(stack, np.empty_like(stack))
+                   for term in terms)
+        got = BandedStencil(terms, axis, grid).apply(stack, np.empty_like(stack))
+        tol = 1e-13 * np.abs(want).max()
+        np.testing.assert_allclose(got, want, rtol=0, atol=tol)
+        matrix = -2.0 * dense_d(order, n, h) + dense_dissipation(order, "upwind", 3.0, n, h)
+        dense = np.einsum("ij,fjk->fik", matrix, stack) if axis == -2 else stack @ matrix.T
+        np.testing.assert_allclose(got, dense, rtol=0, atol=10 * tol)
+        one = BandedStencil(terms[:1], axis, grid)
+        top = d.top * (-2.0 * h**-1)
+        assert one.top.tobytes() == (top if axis == -2 else top.T.copy()).tobytes()
+
+
+def test_stencil_rejects_bad_terms():
+    """No terms, terms of different n or table shapes, and operators not
+    built for the grid's axis are rejected with ValueError."""
+    grid = Grid2D(0.0, 1.0, 0.0, 1.0, 12, 9)
+    with pytest.raises(ValueError, match="one or more"):
+        BandedStencil([], -2, grid)
+    for terms in ([(build_sbp(2, 12), 1.0), (build_sbp(2, 13), 1.0)],
+                  [(build_sbp(2, 12), 1.0), (build_sbp(4, 12), 1.0)],
+                  [(build_sbp(4, 12), 1.0), (build_dissipation(2, "upwind", 1.0, 12), 1.0)]):
+        with pytest.raises(ValueError, match="share n and their table shapes"):
+            BandedStencil(terms, -2, grid)
+    with pytest.raises(ValueError, match="operator built for 12 points, grid has npy=9"):
+        BandedStencil([(build_sbp(2, 12), 1.0)], -1, grid)
