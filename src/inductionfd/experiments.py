@@ -195,6 +195,10 @@ class ExperimentSpec:
     t_final: float
     grids: tuple[int, ...]
 
+    def __post_init__(self) -> None:
+        if self.boundary_mode not in ("zero", "exact"):
+            raise ValueError(f"boundary_mode must be 'zero' or 'exact': {self.boundary_mode!r}")
+
     def make_grid(self, npx: int, npy: int) -> Grid2D:
         return Grid2D(self.xmin, self.xmax, self.ymin, self.ymax, npx, npy)
 

@@ -73,7 +73,8 @@ class VelocityCoeffs:
     zeroth-order coupling term are stored once, stacked as the RHS uses
     them: ``couple_sub`` = [du2dy, du1dx] multiplies (B1, B2) and is
     subtracted, ``couple_add`` = [du1dy, du2dx] multiplies (B2, B1) and is
-    added, each of shape (2, npx, npy).  All arrays are read-only.
+    added, each of shape (2, npx, npy).  All arrays are read-only, and a
+    stride of 0 along an axis means the values are constant along it.
     """
 
     lam_x: np.ndarray
@@ -87,16 +88,14 @@ class VelocityCoeffs:
         return float(np.max(np.abs(self.lam_x) + np.abs(self.lam_y)))
 
 
-def _uniform(a: np.ndarray) -> float | None:
-    """The one value of every entry of ``a`` (..., npx, npy), or None if it
-    holds several.  The last entry, then the first row and column, are
-    compared before all of ``a``, which settles most varying arrays
-    without a pass over them."""
-    value = a.flat[0]
-    if a.flat[-1] == value and all(
-            (part == value).all() for part in (a[..., 0, :], a[..., :, 0], a)):
-        return float(value)
-    return None
+def _fewest(planes: np.ndarray) -> list[np.ndarray]:
+    """Each plane of ``planes`` (k, npx, npy) as a read-only broadcast view
+    of a copy of the fewest of its values that reproduce it: one value,
+    one row, one column, or all of them."""
+    rows = (planes == planes[:, :1]).all(axis=(1, 2))
+    columns = (planes == planes[:, :, :1]).all(axis=(1, 2))
+    return [np.broadcast_to(plane[:1 if row else None, :1 if column else None].copy(), plane.shape)
+            for plane, row, column in zip(planes, rows, columns)]
 
 
 def sample_velocity(
@@ -108,11 +107,12 @@ def sample_velocity(
     """Sample a velocity callable (X, Y) -> (u1, u2) and form its gradients.
 
     The gradient grids are computed with the same SBP operators used by the
-    scheme, so a linear velocity yields its exact gradients.  One stacked
-    apply per axis writes them straight into the coupling layout.  A
-    component that is one number over the grid is not differentiated: its
-    gradient planes are exactly 0, where the closure rows of order 4 would
-    leave rounding, so a constant velocity yields exactly zero coupling.
+    scheme, so a linear velocity yields its exact gradients.  The speeds
+    are kept as the fewest values that hold them (``_fewest``).  A
+    component is not differentiated along an axis it is constant along:
+    that gradient is an exact 0, and a pair of two such planes is one
+    broadcast 0, as are the rotation's ``couple_sub`` and all coupling of
+    a constant velocity.  The other pairs are full read-only arrays.
     """
     xx, yy = grid.meshgrid()
     u = np.empty((2,) + grid.shape)
@@ -121,20 +121,19 @@ def sample_velocity(
         if not np.isfinite(component).all():
             i, j = np.argwhere(~np.isfinite(component))[0]
             raise ValueError(f"velocity component {name} is not finite at node ({i}, {j})")
-    # planes: du1dy, du2dy, du1dx, du2dx; the varying components are a
-    # contiguous range of u
-    grads = np.empty((4,) + grid.shape)
-    varying = [k for k in (0, 1) if _uniform(u[k]) is None]
-    if varying:
-        part = slice(varying[0], varying[-1] + 1)
-        apply_dy(op_y, u[part], grid, out=grads[:2][part])
-        apply_dx(op_x, u[part], grid, out=grads[2:][part])
-    for k in (0, 1):
-        if k not in varying:
-            grads[k::2] = 0.0
-    u.setflags(write=False)
+    lam = _fewest(u)
+    # planes du1dy, du2dy, du1dx, du2dx, computed where u_k varies along the axis
+    computed = [lam[k].strides[axis] != 0 for axis in (1, 0) for k in (0, 1)]
+    grads = np.zeros((4,) + grid.shape)
+    for first, apply, op in ((0, apply_dy, op_y), (2, apply_dx, op_x)):
+        varying = [k for k in (0, 1) if computed[first + k]]
+        if varying:  # one component or both, so a range of u
+            part = slice(varying[0], varying[-1] + 1)
+            apply(op, u[part], grid, out=grads[first:][part])
     grads.setflags(write=False)
-    return VelocityCoeffs(lam_x=u[0], lam_y=u[1], couple_sub=grads[1:3], couple_add=grads[::3])
+    sub, add = (grads[p] if any(computed[p]) else np.broadcast_to(0.0, (2,) + grid.shape)
+                for p in (slice(1, 3), slice(0, 4, 3)))
+    return VelocityCoeffs(lam_x=lam[0], lam_y=lam[1], couple_sub=sub, couple_add=add)
 
 
 def sat_sigma(u_inward, theta: float = 1.0):
@@ -241,18 +240,16 @@ class BoundaryData:
 
 #: about the most nodes of one component in one strip of the RHS, the unit
 #: of work that ``InductionRhs`` applies every term to before it moves on.
-#: A strip touches up to eight arrays of its size (state, swapped state,
-#: result, scratch, two speeds, two coupling planes), 2.5 MiB at this size,
-#: about the 2 MiB L2 cache of one core of the machine it was tuned on.
-#: A constant velocity leaves three (state, result, scratch), 0.9 MiB: its
-#: speeds are folded into the stencils and its coupling is 0.  The sweep
-#: below ran on rotations, which touch all eight.  Each
-#: term is written into the scratch and read back; the scratch is one
-#: buffer of the largest strip's size, reused by every strip and call, so
-#: its lines stay cached.  A strip ends only where a block of the x stencil
-#: starts, so it can hold up to a block of rows more.  Chosen by a sweep of
-#: 20 480 to 81 920, repeated on the block-product stencils and on the
-#: strip-sized scratch (CHANGES.md).
+#: A strip streams the state, the result, the scratch, and the swapped
+#: state, coupling pairs and speeds its velocity holds at full rank: three
+#: arrays of its size (0.9 MiB here) for a constant velocity, five (1.6 MiB)
+#: for the rotation, eight (2.5 MiB) at full rank, against the 2 MiB L2
+#: cache of one core of the machine it was tuned on.  Each term is written
+#: into the scratch and read back; the scratch is one buffer of the largest
+#: strip's size, reused by every strip and call, so its lines stay cached.
+#: A strip ends only where a block of the x stencil starts, so it can hold
+#: up to a block of rows more.  Chosen by sweeps of 20 480 to 81 920 on the
+#: rotation, the last with its speeds at their rank (CHANGES.md).
 STRIP_NODES = 40_960
 
 
@@ -303,15 +300,15 @@ class InductionRhs:
     and a step's last stage time is the next step's first.  Zero boundary
     data samples nothing.
 
-    An axis whose sampled speed is one number c over the grid, as in the
-    translation of experiment 3, is one stencil of the terms -c D and A,
-    A the axis's dissipation if it has one: with upwind dissipation, the
-    upwind SBP operator of Mattsson (JCP 335, 2017).  That axis has no
-    speed multiply and no dissipation apply of its own.  A coupling pair (``couple_sub`` or ``couple_add``)
-    whose planes are all exactly 0, as ``sample_velocity`` gives a
-    constant velocity, is not applied.  A constant velocity thus costs
-    two stencil applies and one add per strip, where varying speeds
-    apply every term above, bit for bit as when each is applied alone.
+    The coefficients are applied at the rank their strides give, with no
+    pass over their values (``VelocityCoeffs``).  An axis whose speed is
+    one value c, as in the translation of experiment 3, is one stencil of
+    the terms -c D and A, A the axis's dissipation if it has one: with
+    upwind dissipation, the upwind SBP operator of Mattsson (JCP 335,
+    2017).  Any other speed is multiplied per strip as its broadcast view
+    (a row or a column for the rotation of experiments 1 and 2), and a
+    coupling pair that is one broadcast 0 is skipped.  Every term applied
+    gives the bits it gives alone; full arrays are applied term by term.
 
     Every call returns a fresh array, because the RK stages hold several
     results at once.  The scratch buffer and the memo belong to the
@@ -332,22 +329,21 @@ class InductionRhs:
         shape = grid.shape
         self.shape = (2,) + shape
         # per axis: the derivative stencil and the speeds it is multiplied
-        # by, or, where the speed is one number c, the stencil of -c times
+        # by, or, where the speed is one value c, the stencil of -c times
         # the derivative plus the axis's dissipation, and no speeds (None)
         self._diss = []
         axes = []
         for axis, op, diss, lam in ((-2, op_x, diss_x, coeffs.lam_x),
                                     (-1, op_y, diss_y, coeffs.lam_y)):
-            speed = _uniform(lam)
             dissipation = [] if diss is None else [(diss, 1.0)]
-            if speed is None:
+            if any(lam.strides):
                 axes.append((BandedStencil([(op, -1.0)], axis, grid), lam))
                 if dissipation:
                     self._diss.append(BandedStencil(dissipation, axis, grid))
             else:
-                axes.append((BandedStencil([(op, -speed)] + dissipation, axis, grid), None))
+                axes.append((BandedStencil([(op, -lam[0, 0])] + dissipation, axis, grid), None))
         (self._dx, lam_x), (self._dy, lam_y) = axes
-        sub, add = (None if _uniform(c) == 0 else c
+        sub, add = (None if not any(c.strides) and c[0, 0, 0] == 0 else c
                     for c in (coeffs.couple_sub, coeffs.couple_add))
         self._coef_x, self._coef_y = sat.coef_x, sat.coef_y
         self._edge_steps = (grid.npx - 1, grid.npy - 1)

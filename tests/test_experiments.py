@@ -258,12 +258,16 @@ class TestAssemble:
         assert_rhs_applies(setup, pieces)
 
     def test_boundary_mode_follows_spec(self):
-        """Zero data for experiment 1, its exact solution for experiment 2."""
+        """Zero data for experiment 1, its exact solution for experiment 2;
+        a spec with any other mode is rejected."""
         for spec, exact in ((experiment1(), None), (experiment2(), experiment2().exact)):
             setup = assemble(spec, scheme_config("sbp2"), 12, 12)
             pieces = run_pieces(setup)
             assert pieces.bdata.exact is exact
             assert_rhs_applies(setup, pieces)
+        for mode in ("periodic", "Zero", None):
+            with pytest.raises(ValueError, match="boundary_mode must be"):
+                replace(experiment1(), boundary_mode=mode)
 
     def test_rectangular_grid(self):
         setup = assemble(experiment1(), scheme_config("sbp2"), 11, 17)

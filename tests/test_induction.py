@@ -1,5 +1,7 @@
 """Tests for the semi-discrete induction system: fields, SAT, boundary data."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from inductionfd import (
     InductionRhs,
     IntegratorConfig,
     MagneticField,
+    VelocityCoeffs,
     apply_dx,
     apply_dy,
     assemble,
@@ -92,17 +95,30 @@ class TestSampleVelocity:
         assert du2dx.tobytes() == apply_dx(op_x, u, grid)[1].tobytes()
         assert du2dy.tobytes() == apply_dy(op_y, u, grid)[1].tobytes()
 
-    def test_linear_velocity_has_exact_gradients(self):
-        """Rotation u = (-y, x) is linear, so SBP gradients are exact."""
+    def test_linear_velocity_has_exact_gradients(self, monkeypatch):
+        """Rotation u = (-y, x) is linear, so SBP gradients are exact; the
+        gradients along the axes its components are constant along are
+        not computed and exactly 0."""
         grid = Grid2D(-1.0, 1.0, -1.0, 1.0, 11, 13)
         op_x, op_y = build_sbp(4, 11), build_sbp(4, 13)
         coeffs = sample_velocity(lambda x, y: (-y, x), grid, op_x, op_y)
         du2dy, du1dx = coeffs.couple_sub
         du1dy, du2dx = coeffs.couple_add
-        np.testing.assert_allclose(du1dx, 0.0, atol=1e-12)
+        np.testing.assert_array_equal(du1dx, 0.0)
         np.testing.assert_allclose(du1dy, -1.0, atol=1e-12)
         np.testing.assert_allclose(du2dx, 1.0, atol=1e-12)
-        np.testing.assert_allclose(du2dy, 0.0, atol=1e-12)
+        np.testing.assert_array_equal(du2dy, 0.0)
+        # u1 = -y is constant along x and u2 = x along y; their views say so
+        assert coeffs.lam_x.strides[0] == 0 and coeffs.lam_y.strides[1] == 0
+        assert not any(coeffs.couple_sub.strides)
+        # so the rotation's RHS skips the zero pair in every strip, not the other
+        for length in (None, 1):
+            if length is not None:
+                monkeypatch.setattr(induction, "STRIP_NODES", length * 37)
+            rhs = assemble(experiment1(), scheme_config("sbp3"), 41, 37).rhs
+            assert (len(rhs._strips) > 2) == (length is not None)
+            for *_, sub, add in rhs._strips:
+                assert sub is None and add is not None
 
     def test_nonfinite_velocity_rejected(self):
         grid = Grid2D(0.0, 1.0, 0.0, 1.0, 5, 5)
@@ -336,17 +352,35 @@ _SCHEMES = [scheme_config(name) for name in ("sbp1", "sbp2", "sbp3", "sbp4")]
 _SCHEMES.append(study_config("sbp4"))
 
 
+def _shear(x, y):
+    return y, np.zeros_like(y)
+
+
+def _full_rank(x, y):
+    return np.sin(x + 2.0 * y), np.cos(2.0 * x - y)
+
+
 class TestFusedRhs:
     """RunSetup.rhs applies one dissipation operator per axis to the stacked
     state; it must agree with the term-by-term sum and the dense oracle."""
 
     @pytest.mark.parametrize("scheme", _SCHEMES,
                              ids=["sbp1", "sbp2", "sbp3", "sbp4", "sbp4-study"])
-    @pytest.mark.parametrize("npx, npy", [(9, 13), (14, 10)])
-    def test_matches_per_term_sum_and_dense_oracle(self, scheme, npx, npy):
+    @pytest.mark.parametrize("npx, npy, velocity", [
+        pytest.param(npx, npy, velocity, id=f"{npx}-{npy}{name}")
+        for name, velocity in (("", None), ("-shear", _shear), ("-full-rank", _full_rank))
+        for npx, npy in ((9, 13), (14, 10))])
+    def test_matches_per_term_sum_and_dense_oracle(self, scheme, npx, npy, velocity):
+        """Over the rotation of the experiments (rank-1 speeds, one zero
+        coupling pair), the shear u = (y, 0) (a rank-1 x speed, a folded
+        zero y speed, a coupling pair with one zero plane) and a velocity
+        whose speeds and coupling planes are all full-rank."""
+        specs = [experiment1(), experiment2()]
+        if velocity is not None:
+            specs = [replace(spec, velocity=velocity) for spec in specs]
         rng = np.random.default_rng(npx * npy)
         # zero boundary data: the RHS is exactly the dense matrix times V
-        setup = assemble(experiment1(), scheme, npx, npy)
+        setup = assemble(specs[0], scheme, npx, npy)
         grid = setup.grid
         matrix = dense_rhs_matrix(grid, scheme.order, setup.spec.velocity,
                                   theta=scheme.theta, dissipation=scheme.dissipation,
@@ -361,8 +395,8 @@ class TestFusedRhs:
                                        rtol=0, atol=1e-13)
             dense = (matrix @ v.ravel()).reshape(v.shape)
             np.testing.assert_allclose(fused, dense, rtol=0, atol=1e-13)
-        # time-dependent exact data on all four sides
-        setup = assemble(experiment2(), scheme, npx, npy)
+        # time-dependent data on all four sides
+        setup = assemble(specs[1], scheme, npx, npy)
         v = rng.standard_normal((2, npx, npy))
         want = _per_term_rhs(setup, v, 0.4)
         np.testing.assert_allclose(setup.rhs(0.4, v), want, rtol=0,
@@ -616,10 +650,10 @@ def _count_applies(monkeypatch):
 
 
 class TestConstantSpeeds:
-    """An axis whose speed is one number over the grid is one stencil,
-    c times the derivative plus the axis's dissipation, and coupling
-    planes that are all 0 are not applied; varying speeds keep every
-    term, bit for bit."""
+    """An axis whose speed is one value over the grid is one stencil,
+    c times the derivative plus the axis's dissipation, and a coupling
+    pair that is one broadcast 0 is not applied; every other term gives
+    the bits it gives applied alone."""
 
     @pytest.mark.parametrize("speeds", [(1.0, 2.0), (-1.0, 0.5), (1.0, 0.0)],
                              ids=["1,2", "-1,0.5", "1,0"])
@@ -652,6 +686,26 @@ class TestConstantSpeeds:
                 np.testing.assert_allclose(rhs(0.0, v), dense, rtol=0,
                                            atol=1e-13 * np.abs(dense).max())
             monkeypatch.undo()
+
+    def test_rank_is_read_from_strides(self):
+        """Full arrays of a constant velocity are applied term by term, not
+        folded, and give the folded RHS; a constant pair that is not 0 is
+        applied."""
+        grid = Grid2D(0.0, 1.0, -0.5, 1.0, 41, 9)
+        op_x, op_y, coeffs, sat, *diss = _setup(grid, 4, alpha=0.5)
+        v = np.random.default_rng(5).standard_normal((2, 41, 9))
+        zero = BoundaryData.zero(grid)
+        folded = InductionRhs(grid, coeffs, zero, sat, op_x, op_y, *diss)(0.0, v)
+        full = VelocityCoeffs(*(np.array(a) for a in (coeffs.lam_x, coeffs.lam_y,
+                                                       coeffs.couple_sub, coeffs.couple_add)))
+        rhs = InductionRhs(grid, full, zero, sat, op_x, op_y, *diss)
+        assert len(rhs._diss) == 2 and all(
+            c is not None for strip in rhs._strips for c in strip[2:])
+        scale = np.abs(folded).max()
+        np.testing.assert_allclose(rhs(0.0, v), folded, rtol=0, atol=1e-13 * scale)
+        pair = replace(coeffs, couple_add=np.broadcast_to(0.5, (2, 41, 9)))
+        got = InductionRhs(grid, pair, zero, sat, op_x, op_y, *diss)(0.0, v)
+        np.testing.assert_allclose(got - folded, 0.5 * v[::-1], rtol=0, atol=1e-13 * scale)
 
     @pytest.mark.parametrize("scheme", _SCHEMES,
                              ids=["sbp1", "sbp2", "sbp3", "sbp4", "sbp4-study"])
