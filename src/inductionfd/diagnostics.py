@@ -56,12 +56,12 @@ def rel_percent_error(
 ) -> float:
     """Relative l2 error of the field magnitude |B|, in percent.
 
-    ``exact`` is a vectorized callable (X, Y, t) -> (B1, B2).  Both the
-    numerical and exact magnitudes are measured in the uniformly weighted
-    l2 norm, whose scaling cancels in the ratio.
+    ``exact`` is an elementwise callable (X, Y, t) -> (B1, B2), called on
+    the open mesh X = x[:, None], Y = y[None, :].  Both the numerical and
+    exact magnitudes are measured in the uniformly weighted l2 norm, whose
+    scaling cancels in the ratio.
     """
-    xx, yy = grid.meshgrid()
-    e1, e2 = exact(xx, yy, t)
+    e1, e2 = exact(grid.x[:, None], grid.y[None, :], t)
     return percent_error(v, (np.broadcast_to(e1, grid.shape), np.broadcast_to(e2, grid.shape)))
 
 

@@ -181,7 +181,13 @@ def study_spec(spec: ExperimentSpec) -> ExperimentSpec:
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """A benchmark problem: domain, velocity, data and defaults."""
+    """A benchmark problem: domain, velocity, data and defaults.
+
+    ``velocity`` (X, Y) -> (u1, u2), ``initial`` (X, Y) -> (B1, B2) and
+    ``exact`` (X, Y, t) -> (B1, B2) are elementwise: they are called on the
+    open mesh X = x[:, None], Y = y[None, :], ``exact`` also on 1-D side
+    coordinates, and each component may be any value that broadcasts.
+    """
 
     id: int
     xmin: float
@@ -265,8 +271,7 @@ def experiment3() -> ExperimentSpec:
     return ExperimentSpec(
         id=3,
         xmin=0.0, xmax=1.0, ymin=0.0, ymax=1.0,
-        velocity=lambda x, y: (np.ones_like(np.asarray(x, dtype=float)),
-                               np.full_like(np.asarray(x, dtype=float), 2.0)),
+        velocity=lambda x, y: (1.0, 2.0),
         initial=_step_data,
         exact=_translated_step,
         boundary_mode="exact",

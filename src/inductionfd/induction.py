@@ -55,32 +55,29 @@ class MagneticField:
 
     @classmethod
     def sample(cls, grid: Grid2D, fn: Callable) -> "MagneticField":
-        """Sample a vectorized callable (X, Y) -> (B1, B2) at the grid nodes."""
-        xx, yy = grid.meshgrid()
-        b1, b2 = fn(xx, yy)
-        data = np.stack(
-            [np.broadcast_to(b1, grid.shape), np.broadcast_to(b2, grid.shape)]
-        ).astype(float)
+        """Sample an elementwise callable (X, Y) -> (B1, B2) on the open mesh
+        X = x[:, None], Y = y[None, :]; each component is broadcast to the grid."""
+        data = np.empty((2,) + grid.shape)
+        data[0], data[1] = fn(grid.x[:, None], grid.y[None, :])
         return cls(grid, data)
 
 
 @dataclass(frozen=True)
 class VelocityCoeffs:
-    """Frozen velocity samples and their SBP derivative grids.
-
-    ``lam_x`` and ``lam_y`` are the advection speeds u1 and u2 at the
-    nodes, shape (npx, npy).  The discrete velocity gradients of the
-    zeroth-order coupling term are stored once, stacked as the RHS uses
-    them: ``couple_sub`` = [du2dy, du1dx] multiplies (B1, B2) and is
-    subtracted, ``couple_add`` = [du1dy, du2dx] multiplies (B2, B1) and is
-    added, each of shape (2, npx, npy).  All arrays are read-only, and a
-    stride of 0 along an axis means the values are constant along it.
+    """Frozen velocity samples and their SBP gradients, each at its rank:
+    the speeds u1 and u2 as ``lam_x`` and ``lam_y``, and the gradients
+    ``du1dx``, ``du1dy``, ``du2dx``, ``du2dy`` of the coupling term.  Each
+    is a read-only array of shape (npx, npy), where a stride of 0 along an
+    axis means its values are constant along it: ``sample_velocity``
+    gives each as a broadcast view of the fewest values that hold it.
     """
 
     lam_x: np.ndarray
     lam_y: np.ndarray
-    couple_sub: np.ndarray
-    couple_add: np.ndarray
+    du1dx: np.ndarray
+    du1dy: np.ndarray
+    du2dx: np.ndarray
+    du2dy: np.ndarray
 
     @property
     def max_speed(self) -> float:
@@ -88,14 +85,18 @@ class VelocityCoeffs:
         return float(np.max(np.abs(self.lam_x) + np.abs(self.lam_y)))
 
 
-def _fewest(planes: np.ndarray) -> list[np.ndarray]:
-    """Each plane of ``planes`` (k, npx, npy) as a read-only broadcast view
-    of a copy of the fewest of its values that reproduce it: one value,
-    one row, one column, or all of them."""
-    rows = (planes == planes[:, :1]).all(axis=(1, 2))
-    columns = (planes == planes[:, :, :1]).all(axis=(1, 2))
-    return [np.broadcast_to(plane[:1 if row else None, :1 if column else None].copy(), plane.shape)
-            for plane, row, column in zip(planes, rows, columns)]
+def _fewest(name: str, value, grid: Grid2D) -> np.ndarray:
+    """Velocity component ``name`` as returned (a scalar, a row, a column
+    or a plane that broadcasts to the grid) as a copy of the fewest of
+    its values that reproduce it, of shape (1 or npx, 1 or npy).
+    Only the values given are compared; a plane of one value is one value."""
+    value = np.atleast_2d(np.asarray(value, dtype=float))
+    np.broadcast_to(value, grid.shape)  # ValueError if it does not broadcast
+    if not np.isfinite(value).all():
+        i, j = np.argwhere(~np.isfinite(value))[0]
+        raise ValueError(f"velocity component {name} is not finite at node ({i}, {j})")
+    row, column = (value == value[:1]).all(), (value == value[:, :1]).all()
+    return value[:1 if row else None, :1 if column else None].copy()
 
 
 def sample_velocity(
@@ -104,36 +105,20 @@ def sample_velocity(
     op_x: SbpOperator1D,
     op_y: SbpOperator1D,
 ) -> VelocityCoeffs:
-    """Sample a velocity callable (X, Y) -> (u1, u2) and form its gradients.
-
-    The gradient grids are computed with the same SBP operators used by the
-    scheme, so a linear velocity yields its exact gradients.  The speeds
-    are kept as the fewest values that hold them (``_fewest``).  A
-    component is not differentiated along an axis it is constant along:
-    that gradient is an exact 0, and a pair of two such planes is one
-    broadcast 0, as are the rotation's ``couple_sub`` and all coupling of
-    a constant velocity.  The other pairs are full read-only arrays.
+    """Sample an elementwise velocity callable (X, Y) -> (u1, u2) on the
+    open mesh and form its gradients with the scheme's SBP operators, so
+    a linear velocity's are exact.  Each component is kept as the fewest
+    values that hold it (``_fewest``) and differentiated only along an
+    axis it varies along, as those values: a row along y, a column along
+    x, a plane along both.  Every other gradient is a broadcast 0.  All
+    six arrays are read-only broadcast views of shape (npx, npy).
     """
-    xx, yy = grid.meshgrid()
-    u = np.empty((2,) + grid.shape)
-    u[0], u[1] = velocity(xx, yy)
-    for name, component in (("u1", u[0]), ("u2", u[1])):
-        if not np.isfinite(component).all():
-            i, j = np.argwhere(~np.isfinite(component))[0]
-            raise ValueError(f"velocity component {name} is not finite at node ({i}, {j})")
-    lam = _fewest(u)
-    # planes du1dy, du2dy, du1dx, du2dx, computed where u_k varies along the axis
-    computed = [lam[k].strides[axis] != 0 for axis in (1, 0) for k in (0, 1)]
-    grads = np.zeros((4,) + grid.shape)
-    for first, apply, op in ((0, apply_dy, op_y), (2, apply_dx, op_x)):
-        varying = [k for k in (0, 1) if computed[first + k]]
-        if varying:  # one component or both, so a range of u
-            part = slice(varying[0], varying[-1] + 1)
-            apply(op, u[part], grid, out=grads[first:][part])
-    grads.setflags(write=False)
-    sub, add = (grads[p] if any(computed[p]) else np.broadcast_to(0.0, (2,) + grid.shape)
-                for p in (slice(1, 3), slice(0, 4, 3)))
-    return VelocityCoeffs(lam_x=lam[0], lam_y=lam[1], couple_sub=sub, couple_add=add)
+    u = [_fewest(name, value, grid) for name, value in
+         zip(("u1", "u2"), velocity(grid.x[:, None], grid.y[None, :]), strict=True)]
+    # du1dx, du1dy, du2dx, du2dy, each formed only where u_k varies along the axis
+    grads = [apply(op, uk, grid) if uk.shape[axis] > 1 else 0.0
+             for uk in u for axis, apply, op in ((0, apply_dx, op_x), (1, apply_dy, op_y))]
+    return VelocityCoeffs(*(np.broadcast_to(a, grid.shape) for a in u + grads))
 
 
 def sat_sigma(u_inward, theta: float = 1.0):
@@ -288,8 +273,8 @@ class InductionRhs:
     apply, and the result does not depend on the cut, bit for bit.
     Everything that does not change between calls is built here: per
     axis the stencils of -D and of the dissipation (``BandedStencil``,
-    which scales each by its power of h), the coupling arrays of
-    ``coeffs``, the SAT coefficients of ``sat`` in their strided layout,
+    which scales each by its power of h), the coupling pairs, the SAT
+    coefficients of ``sat`` in their strided layout,
     the strips with views of the coefficients they multiply, and one
     scratch buffer the size of the largest strip, not of the state: each
     strip writes the x derivative straight into its rows of the result
@@ -306,9 +291,13 @@ class InductionRhs:
     the terms -c D and A, A the axis's dissipation if it has one: with
     upwind dissipation, the upwind SBP operator of Mattsson (JCP 335,
     2017).  Any other speed is multiplied per strip as its broadcast view
-    (a row or a column for the rotation of experiments 1 and 2), and a
-    coupling pair that is one broadcast 0 is skipped.  Every term applied
-    gives the bits it gives alone; full arrays are applied term by term.
+    (a row or a column for the rotation of experiments 1 and 2).  The
+    gradients are stacked in two pairs of shape (2, npx, npy), one product
+    per strip each: [du2dy, du1dx] multiplies (B1, B2) and is subtracted,
+    [du1dy, du2dx] multiplies (B2, B1) and is added.  A pair of two
+    broadcast 0s is skipped, as the rotation's first pair and both pairs
+    of a constant velocity are.  Every term applied gives the bits it
+    gives alone; full arrays are applied term by term.
 
     Every call returns a fresh array, because the RK stages hold several
     results at once.  The scratch buffer and the memo belong to the
@@ -343,14 +332,17 @@ class InductionRhs:
             else:
                 axes.append((BandedStencil([(op, -lam[0, 0])] + dissipation, axis, grid), None))
         (self._dx, lam_x), (self._dy, lam_y) = axes
-        sub, add = (None if not any(c.strides) and c[0, 0, 0] == 0 else c
-                    for c in (coeffs.couple_sub, coeffs.couple_add))
+        # the coupling pairs, stacked (2, npx, npy), None for two broadcast 0s
+        sub, add = (None if not any(a.strides + b.strides) and a[0, 0] == b[0, 0] == 0
+                    else np.stack([a, b]) for a, b in ((coeffs.du2dy, coeffs.du1dx),
+                                                       (coeffs.du1dy, coeffs.du2dx)))
         self._coef_x, self._coef_y = sat.coef_x, sat.coef_y
         self._edge_steps = (grid.npx - 1, grid.npy - 1)
         self._sample = bdata.all_sides
         self._t = None
         self._g = None
-        strips = [(node, coeffs.couple_sub[node]) for node in _strips(*shape, self._dx.cuts)]
+        state = np.broadcast_to(0.0, self.shape)
+        strips = [(node, state[node]) for node in _strips(*shape, self._dx.cuts)]
         self._scratch = np.empty(max(part.size for _, part in strips))
 
         def at(coef, index):

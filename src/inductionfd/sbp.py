@@ -146,7 +146,9 @@ def build_sbp(order: int, n: int) -> SbpOperator1D:
 class BandedStencil:
     """A weighted sum of banded 1D operators along one axis of arrays
     (fields, npx, npy), scaled by the grid, with every constant of its
-    application computed once.
+    application computed once.  Bound to one axis, its n and h, it takes
+    the other extent from the array it is given: a plane, or a line, that
+    is a column (fields, n, 1) along x and a row (fields, 1, n) along y.
 
     The interior rows are applied in blocks of ``_BLOCK`` consecutive
     nodes: one constant block matrix of ``_BLOCK`` rows by ``_BLOCK`` + 2w
@@ -166,24 +168,23 @@ class BandedStencil:
     An apply can be limited to some fields and a range of their rows
     (lines of npy nodes), so that a caller can run several operators on
     one cache-sized strip before it moves on; it writes an array shaped
-    like the strip, so the caller's buffers need only be that large.  The
-    range starts and ends at rows of ``cuts``.  Along x these are the two
-    ends of a field and the starts of its interior blocks but the first
-    and the last, so a range holds whole blocks, at least one, and takes
-    the closure rows and the short block with the ends of the field.
-    Along y every row is a cut, as each row is a line of its own.  Every
-    node thus gets the same products as in the full apply, bit for bit,
-    as long as BLAS computes each row of a product alike whatever the
-    number of rows: it does for two rows and more, not for a range of one
-    row along y, which no strip is.  What a range needs (the views of its
-    products) is worked out on its first apply and kept.
+    like the strip, so the caller's buffers need only be that large.
+    Along x the range starts and ends at nodes of ``cuts``: the two ends
+    of a field and the starts of its interior blocks but the first and
+    the last, so a range holds whole blocks, at least one, and takes the
+    closure rows and the short block with the ends of the field.  Along y
+    any range will do, as each row is a line of its own.  Every node thus
+    gets the same products as in the full apply, bit for bit, as long as
+    BLAS computes each row of a product alike whatever the number of
+    rows: it does for two rows and more, not for a range of one row along
+    y, which no strip is.  The views of an apply's products are worked
+    out on its first apply to an array of that shape and range, and kept.
     """
 
     def __init__(self, terms, axis: int, grid: Grid2D):
         """The stencil of the sum of ``factor * h**op.h_exponent * op`` over
-        the (op, factor) pairs ``terms``, along ``axis``, -2 (x) or -1 (y),
-        of arrays (fields, npx, npy) on ``grid``; h is the grid's spacing
-        along that axis.
+        the (op, factor) pairs ``terms``, along ``axis``, -2 (x) or -1 (y);
+        n and h are the node count and spacing of ``grid`` along that axis.
 
         From each operator it reads the node count ``n``, the dimensionless
         tables ``top`` (closure rows), ``bot`` and ``interior`` (the
@@ -197,8 +198,7 @@ class BandedStencil:
                 for op, _ in terms}) != 1:
             raise ValueError("a stencil needs one or more (operator, factor) terms "
                              "whose operators share n and their table shapes")
-        shape = grid.shape
-        n, h = shape[axis], grid.dx if axis == -2 else grid.dy
+        n, h = grid.shape[axis], grid.dx if axis == -2 else grid.dy
         if terms[0][0].n != n:
             raise ValueError(f"operator built for {terms[0][0].n} points, grid has "
                              f"{'npx' if axis == -2 else 'npy'}={n}")
@@ -219,7 +219,7 @@ class BandedStencil:
         if axis == -1:
             top, bot, block, tail = top.T, bot.T, block.T, tail.T
         self.axis = axis
-        self.shape = shape
+        self.n = n
         self.width = width
         self.closure = closure
         self.full = full
@@ -228,27 +228,27 @@ class BandedStencil:
         self.tail = np.ascontiguousarray(tail)
         self.top = np.ascontiguousarray(top)
         self.bot = np.ascontiguousarray(bot)
-        #: the rows of a field that the row range of an apply may start or end at
-        self.cuts = range(shape[0] + 1) if axis == -1 else (
-            0, *range(closure + _BLOCK, closure + _BLOCK * full, _BLOCK), n)
+        #: the nodes that the row range of an x apply may start or end at
+        self.cuts = (0, *range(closure + _BLOCK, closure + _BLOCK * full, _BLOCK), n)
         self._plans = {}
 
     def apply(self, f: np.ndarray, out: np.ndarray, fields: slice = slice(None),
               rows: slice = slice(None)) -> np.ndarray:
         """Write the operator applied to ``f[fields, rows]`` into ``out`` and
         return ``out``.  ``f`` is a C-contiguous float array (fields, npx,
-        npy); ``out`` is one shaped like the strip, (fields, rows, npy), so
-        a caller can keep the strip's result in a buffer of its own size.
+        npy) with n nodes along the stencil's axis; ``out`` is one shaped
+        like the strip, (fields, rows, npy), so a caller can keep the
+        strip's result in a buffer of its own size.
 
-        ``fields`` and ``rows`` are slices of the first two axes of ``f``,
-        by default all of them; ``rows`` must start and end at rows of
-        ``cuts`` (ValueError otherwise).
+        ``fields`` and ``rows`` are nonempty slices of step 1 of the first
+        two axes of ``f``, by default all of them; along x, ``rows`` must
+        start and end at nodes of ``cuts`` (ValueError otherwise).
         """
-        key = (fields.start, fields.stop, fields.step, rows.start, rows.stop, rows.step, len(f))
+        key = (fields.start, fields.stop, fields.step, rows.start, rows.stop, rows.step, f.shape)
         plan = self._plans.get(key)
         if plan is None:
-            plan = self._plans[key] = self._plan(fields.indices(len(f)),
-                                                 rows.indices(self.shape[0]))
+            plan = self._plans[key] = self._plan(f.shape, fields.indices(len(f)),
+                                                 rows.indices(f.shape[1]))
         interior, edges = plan
         along_x = self.axis == -2
         if interior is not None:
@@ -260,23 +260,26 @@ class BandedStencil:
             np.matmul(*((block, f[src]) if along_x else (f[src], block)), out=out[dst])
         return out
 
-    def _plan(self, fields: tuple, rows: tuple) -> tuple:
+    def _plan(self, shape: tuple, fields: tuple, rows: tuple) -> tuple:
         """(interior, edges) of an apply to the (start, stop, step) ranges
-        ``fields`` and ``rows``.  ``interior`` is the batched product of
-        the whole blocks in the range, as its block and the (shape, byte
-        offset, byte strides) of its windows in f and of its target in the
-        strip-shaped out, or None; ``edges`` holds the closure and
-        short-block products, each as its block and the indices of its
-        other factor in f and of its target in out."""
+        ``fields`` and ``rows`` of an f of ``shape`` (fields, npx, npy).
+        ``interior`` is the batched product of the whole blocks in the
+        range, as its block and the (shape, byte offset, byte strides) of
+        its windows in f and of its target in the strip-shaped out, or
+        None; ``edges`` holds the closure and short-block products, each as
+        its block and the indices of its other factor in f and of its
+        target in out."""
         (f0, f1, f_step), (a, b, step) = fields, rows
-        if (f_step, step) != (1, 1) or f0 >= f1 or a >= b or a not in self.cuts \
-                or b not in self.cuts:
-            raise ValueError(f"cannot apply to fields {f0}:{f1}:{f_step}, rows "
-                             f"{a}:{b}:{step}; rows must start and end at {self.cuts}")
-        npx, npy = self.shape
-        n, lo, width, full, short = (self.shape[self.axis], self.closure, self.width,
-                                     self.full, self.short)
+        npx, npy = shape[1:]
+        n, lo, width, full, short = self.n, self.closure, self.width, self.full, self.short
         along_x = self.axis == -2
+        if shape[self.axis] != n:
+            raise ValueError(f"stencil of {n} points applied to an array {shape}")
+        if (f_step, step) != (1, 1) or f0 >= f1 or a >= b or along_x and (
+                a not in self.cuts or b not in self.cuts):
+            raise ValueError(f"cannot apply to fields {f0}:{f1}:{f_step}, rows "
+                             f"{a}:{b}:{step}; ranges must be nonempty of step 1, and "
+                             f"rows along x must start and end at {self.cuts}")
         first, last = (a == 0, b == npx) if along_x else (True, True)
 
         def in_f(start: int, stop: int) -> tuple:
@@ -307,7 +310,7 @@ class BandedStencil:
             j0, j1 = max(a - lo, 0) // _BLOCK, min((b - lo) // _BLOCK, full)
             base, out_base, unit = f0 * field, -a * line, line
             strides = (_BLOCK * line, line, item)
-            shape = lambda size: (f1 - f0, j1 - j0, size, npy)
+            batch = lambda size: (f1 - f0, j1 - j0, size, npy)
         else:
             # every column block over the range's rows; the rows of whole
             # fields are one run
@@ -315,30 +318,30 @@ class BandedStencil:
             count, run = (1, (f1 - f0) * npx) if (a, b) == (0, npx) else (f1 - f0, b - a)
             base, out_base, unit = (f0 * npx + a) * line, 0, item
             strides = (_BLOCK * item, line, item)
-            shape = lambda size: (count, full, run, size)
+            batch = lambda size: (count, full, run, size)
         if j0 == j1:
             return None, edges
         start = lo + _BLOCK * j0
         return (self.block,
-                (shape(_BLOCK + 2 * width), base + (start - width) * unit, (field, *strides)),
-                (shape(_BLOCK), out_base + start * unit, (strip, *strides))), edges
+                (batch(_BLOCK + 2 * width), base + (start - width) * unit, (field, *strides)),
+                (batch(_BLOCK), out_base + start * unit, (strip, *strides))), edges
 
 
 def _apply(op, f: np.ndarray, grid: Grid2D, axis: int, out: np.ndarray | None) -> np.ndarray:
-    if f.ndim < 2 or f.shape[-2:] != grid.shape:
-        raise ValueError(f"field shape {f.shape} does not match grid {grid.shape}")
+    if f.ndim < 2 or f.shape[axis] != grid.shape[axis]:
+        raise ValueError(f"field shape {f.shape} does not match grid {grid.shape} on its axis")
     f = np.ascontiguousarray(f, dtype=float)
     if out is None:
         out = np.empty(f.shape)
     elif out.shape != f.shape or not out.flags.c_contiguous:
         raise ValueError(f"out must be a C-contiguous array of shape {f.shape}")
-    fields = (-1,) + grid.shape
+    fields = (-1,) + f.shape[-2:]
     BandedStencil([(op, 1.0)], axis, grid).apply(f.reshape(fields), out.reshape(fields))
     return out
 
 
 def apply_dx(op, f: np.ndarray, grid: Grid2D, out: np.ndarray | None = None) -> np.ndarray:
-    """Apply a 1D operator along the x axis of a field (..., npx, npy).
+    """Apply a 1D operator along x to a field (..., npx, m), m any extent.
 
     Leading axes are stacked fields (such as the two components of B),
     each transformed alike.  The result goes to ``out`` when given.
@@ -347,7 +350,7 @@ def apply_dx(op, f: np.ndarray, grid: Grid2D, out: np.ndarray | None = None) -> 
 
 
 def apply_dy(op, f: np.ndarray, grid: Grid2D, out: np.ndarray | None = None) -> np.ndarray:
-    """Apply a 1D operator along the y axis of a field (..., npx, npy).
+    """Apply a 1D operator along y to a field (..., m, npy), m any extent.
 
     Leading axes are stacked fields (such as the two components of B),
     each transformed alike.  The result goes to ``out`` when given.

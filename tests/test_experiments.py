@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from inductionfd import (
+    Grid2D,
     InstabilityError,
     assemble,
     build_sbp,
@@ -27,6 +28,13 @@ from inductionfd import experiments
 from inductionfd.experiments import SCHEMES, SchemeConfig, _hump, _rotated_hump
 
 from run_pieces import assert_rhs_applies, run_pieces
+
+
+def _forbid_meshgrid(monkeypatch):
+    """Make ``Grid2D.meshgrid`` raise: a run samples on the open mesh."""
+    def meshgrid(self):
+        raise AssertionError("a run built a full meshgrid")
+    monkeypatch.setattr(Grid2D, "meshgrid", meshgrid)
 
 
 class TestExactSolutions:
@@ -188,9 +196,10 @@ class TestSchemeRegistry:
          ("sbp3", dict(integrator="rk2"), 1.0),
          ("sbp1", dict(integrator="ssp32"), 2.0)],
     )
-    def test_run_steps_at_the_courant_number(self, name, overrides, factor):
+    def test_run_steps_at_the_courant_number(self, monkeypatch, name, overrides, factor):
         """RK4 without upwind dissipation and SSPRK(3,2) with it step at
         twice cfl; every other combination steps at cfl itself, bitwise."""
+        _forbid_meshgrid(monkeypatch)
         scheme = scheme_config(name, **overrides)
         assert scheme.courant == factor * scheme.cfl
         setup = assemble(experiment2(), scheme, 12, 12)
@@ -277,7 +286,8 @@ class TestAssemble:
 
 
 class TestRunHarnesses:
-    def test_short_run_record_fields(self):
+    def test_short_run_record_fields(self, monkeypatch):
+        _forbid_meshgrid(monkeypatch)
         setup = assemble(experiment1(), scheme_config("sbp2"), 12, 12)
         field, record = run_single(setup, t_final=0.1)
         assert field.data.shape == (2, 12, 12)
@@ -387,8 +397,9 @@ class TestRunHarnesses:
         assert 2.0 * np.pi < err.time < 4.0 * np.pi
         assert np.isfinite(err.last_state).all()
 
-    def test_later_start_reports_absolute_time(self):
+    def test_later_start_reports_absolute_time(self, monkeypatch):
         """A run started at t0 reports a stage overflow at its absolute time."""
+        _forbid_meshgrid(monkeypatch)
         setup = assemble(experiment3(), scheme_config("sbp1", cfl=1.0), 10, 10)
         t0 = 4.0 * np.pi
         with np.errstate(over="ignore", invalid="ignore"), \

@@ -76,7 +76,7 @@ class TestSampleVelocity:
             coeffs = sample_velocity(lambda x, y: (3.0, -1.5), grid, op, op)
             np.testing.assert_array_equal(coeffs.lam_x, 3.0)
             np.testing.assert_array_equal(coeffs.lam_y, -1.5)
-            for g in (coeffs.couple_sub, coeffs.couple_add):
+            for g in (coeffs.du1dx, coeffs.du1dy, coeffs.du2dx, coeffs.du2dy):
                 np.testing.assert_array_equal(g, 0.0)
             assert coeffs.max_speed == pytest.approx(4.5)
 
@@ -87,8 +87,7 @@ class TestSampleVelocity:
         grid = Grid2D(0.0, 1.0, -1.0, 0.5, 10, 13)
         op_x, op_y = build_sbp(order, 10), build_sbp(order, 13)
         coeffs = sample_velocity(lambda x, y: (0.7, np.sin(3.0 * x * y)), grid, op_x, op_y)
-        du2dy, du1dx = coeffs.couple_sub
-        du1dy, du2dx = coeffs.couple_add
+        du1dx, du1dy, du2dx, du2dy = coeffs.du1dx, coeffs.du1dy, coeffs.du2dx, coeffs.du2dy
         np.testing.assert_array_equal(du1dx, 0.0)
         np.testing.assert_array_equal(du1dy, 0.0)
         u = np.stack([coeffs.lam_x, coeffs.lam_y])
@@ -98,19 +97,24 @@ class TestSampleVelocity:
     def test_linear_velocity_has_exact_gradients(self, monkeypatch):
         """Rotation u = (-y, x) is linear, so SBP gradients are exact; the
         gradients along the axes its components are constant along are
-        not computed and exactly 0."""
+        not computed and exactly 0.  The callable gets the open mesh."""
         grid = Grid2D(-1.0, 1.0, -1.0, 1.0, 11, 13)
         op_x, op_y = build_sbp(4, 11), build_sbp(4, 13)
-        coeffs = sample_velocity(lambda x, y: (-y, x), grid, op_x, op_y)
-        du2dy, du1dx = coeffs.couple_sub
-        du1dy, du2dx = coeffs.couple_add
+        shapes = []
+        coeffs = sample_velocity(lambda x, y: shapes.append((x.shape, y.shape)) or (-y, x),
+                                 grid, op_x, op_y)
+        assert shapes == [((11, 1), (1, 13))]
+        du1dx, du1dy, du2dx, du2dy = coeffs.du1dx, coeffs.du1dy, coeffs.du2dx, coeffs.du2dy
         np.testing.assert_array_equal(du1dx, 0.0)
         np.testing.assert_allclose(du1dy, -1.0, atol=1e-12)
         np.testing.assert_allclose(du2dx, 1.0, atol=1e-12)
         np.testing.assert_array_equal(du2dy, 0.0)
-        # u1 = -y is constant along x and u2 = x along y; their views say so
+        # u1 = -y is constant along x and u2 = x along y; their views and
+        # gradients say so, and the gradients along those axes are broadcast 0s
         assert coeffs.lam_x.strides[0] == 0 and coeffs.lam_y.strides[1] == 0
-        assert not any(coeffs.couple_sub.strides)
+        assert du1dy.strides[0] == 0 and du2dx.strides[1] == 0
+        assert du1dx.shape == du2dy.shape == grid.shape
+        assert not any(du1dx.strides + du2dy.strides)
         # so the rotation's RHS skips the zero pair in every strip, not the other
         for length in (None, 1):
             if length is not None:
@@ -123,9 +127,10 @@ class TestSampleVelocity:
     def test_nonfinite_velocity_rejected(self):
         grid = Grid2D(0.0, 1.0, 0.0, 1.0, 5, 5)
         op = build_sbp(2, 5)
-        with pytest.raises(ValueError, match="not finite"), \
+        with pytest.raises(ValueError, match=r"u1 is not finite at node \(2, 2\)"), \
                 np.errstate(divide="ignore"):
-            sample_velocity(lambda x, y: (1.0 / (x - x[2, 2]), 0.0), grid, op, op)
+            sample_velocity(lambda x, y: (1.0 / ((x - 0.5) ** 2 + (y - 0.5) ** 2), 0.0),
+                            grid, op, op)
 
 
 class TestSatSigma:
@@ -613,8 +618,8 @@ class TestStrips:
 
 def _separate_terms_rhs(setup, t, v):
     """A run's RHS from stencils applied one by one to the whole state, its
-    terms added in the assembled RHS's order: lam_x Dx + lam_y Dy - sub*V
-    + add*swap(V) + Ax + Ay, then the SAT."""
+    terms added in the assembled RHS's order: lam_x Dx + lam_y Dy
+    - [du2dy, du1dx] V + [du1dy, du2dx] swap(V) + Ax + Ay, then the SAT."""
     grid, pieces = setup.grid, run_pieces(setup)
     coeffs, sat = pieces.coeffs, pieces.sat
 
@@ -623,7 +628,8 @@ def _separate_terms_rhs(setup, t, v):
 
     rhs = (applied(setup.op_x, -2, -1.0) * coeffs.lam_x
            + applied(setup.op_y, -1, -1.0) * coeffs.lam_y
-           - coeffs.couple_sub * v + coeffs.couple_add * v[::-1])
+           - np.stack([coeffs.du2dy, coeffs.du1dx]) * v
+           + np.stack([coeffs.du1dy, coeffs.du2dx]) * v[::-1])
     for diss, axis in ((pieces.diss_x, -2), (pieces.diss_y, -1)):
         if diss is not None:
             rhs += applied(diss, axis, 1.0)
@@ -697,13 +703,15 @@ class TestConstantSpeeds:
         zero = BoundaryData.zero(grid)
         folded = InductionRhs(grid, coeffs, zero, sat, op_x, op_y, *diss)(0.0, v)
         full = VelocityCoeffs(*(np.array(a) for a in (coeffs.lam_x, coeffs.lam_y,
-                                                       coeffs.couple_sub, coeffs.couple_add)))
+                                                       coeffs.du1dx, coeffs.du1dy,
+                                                       coeffs.du2dx, coeffs.du2dy)))
         rhs = InductionRhs(grid, full, zero, sat, op_x, op_y, *diss)
         assert len(rhs._diss) == 2 and all(
             c is not None for strip in rhs._strips for c in strip[2:])
         scale = np.abs(folded).max()
         np.testing.assert_allclose(rhs(0.0, v), folded, rtol=0, atol=1e-13 * scale)
-        pair = replace(coeffs, couple_add=np.broadcast_to(0.5, (2, 41, 9)))
+        half = np.broadcast_to(0.5, (41, 9))
+        pair = replace(coeffs, du1dy=half, du2dx=half)
         got = InductionRhs(grid, pair, zero, sat, op_x, op_y, *diss)(0.0, v)
         np.testing.assert_allclose(got - folded, 0.5 * v[::-1], rtol=0, atol=1e-13 * scale)
 

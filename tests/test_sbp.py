@@ -104,18 +104,18 @@ _BLOCK_EDGE_SHAPES = [
 
 @pytest.mark.parametrize("order, shape", _BLOCK_EDGE_SHAPES)
 def test_banded_apply_matches_dense(order, shape):
-    """Matrix-free application along both axes equals the dense product."""
+    """Matrix-free application along both axes equals the dense product,
+    on planes and on lines: columns (k, npx, 1) along x, rows (k, 1, npy)
+    along y."""
     rng = np.random.default_rng(7)
     grid = Grid2D(-1.0, 1.5, 0.0, 2.0, *shape)
-    f = rng.normal(size=grid.shape)
     op_x = build_sbp(order, grid.npx)
     op_y = build_sbp(order, grid.npy)
-    np.testing.assert_allclose(
-        apply_dx(op_x, f, grid), dense_d(order, grid.npx, grid.dx) @ f,
-        atol=1e-12)
-    np.testing.assert_allclose(
-        apply_dy(op_y, f, grid), f @ dense_d(order, grid.npy, grid.dy).T,
-        atol=1e-12)
+    d_x, d_y = dense_d(order, grid.npx, grid.dx), dense_d(order, grid.npy, grid.dy)
+    for f_x, f_y in ((rng.normal(size=grid.shape),) * 2,
+                     (rng.normal(size=(3, grid.npx, 1)), rng.normal(size=(3, 1, grid.npy)))):
+        np.testing.assert_allclose(apply_dx(op_x, f_x, grid), d_x @ f_x, atol=1e-12)
+        np.testing.assert_allclose(apply_dy(op_y, f_y, grid), f_y @ d_y.T, atol=1e-12)
 
 
 def test_apply_dx_on_y_field_is_zero():
@@ -210,7 +210,9 @@ def test_stacked_apply_matches_per_field(order):
         assert apply(op, stack, grid, out=out) is out
         np.testing.assert_array_equal(out, got)
     with pytest.raises(ValueError, match="does not match grid"):
-        apply_dx(build_sbp(order, grid.npx), np.zeros((2, 14, 12)), grid)
+        apply_dx(build_sbp(order, grid.npx), np.zeros((2, 13, 11)), grid)
+    with pytest.raises(ValueError, match="does not match grid"):
+        apply_dy(build_sbp(order, grid.npy), np.zeros((2, 14, 12)), grid)
 
 
 @pytest.mark.parametrize("order, shape", _BLOCK_EDGE_SHAPES)
