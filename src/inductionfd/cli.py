@@ -12,6 +12,7 @@ import numpy as np
 from .diagnostics import ErrorRecord, convergence_rate, discrete_divergence
 from .experiments import (
     DISSIPATION_MODES,
+    EXPERIMENTS,
     SCHEMES,
     SchemeConfig,
     assemble,
@@ -66,7 +67,7 @@ def _build_parser() -> _Parser:
         epilog=_EXAMPLES,
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    parser.add_argument("--experiment", type=int, choices=(1, 2, 3), required=True,
+    parser.add_argument("--experiment", type=int, choices=sorted(EXPERIMENTS), required=True,
                         help="benchmark problem to run")
     parser.add_argument("--scheme", choices=sorted(SCHEMES), default="sbp2",
                         help="spatial scheme (default: %(default)s)")
@@ -207,7 +208,7 @@ def write_field_dump(field: MagneticField, div: np.ndarray, path, meta: dict) ->
 
 
 def _run_study(config: RunConfig) -> int:
-    # the large-domain hump is studied with its exact boundary trace
+    # an experiment with zero data is studied with its exact boundary trace
     spec = study_spec(get_experiment(config.experiment))
     scheme = config.scheme
     out = config.out

@@ -56,10 +56,6 @@ class Grid2D:
         """Node coordinates along y, length npy; computed once, read-only."""
         return _frozen_linspace(self.ymin, self.ymax, self.npy)
 
-    def meshgrid(self) -> tuple[np.ndarray, np.ndarray]:
-        """Coordinate arrays X, Y of shape (npx, npy)."""
-        return np.meshgrid(self.x, self.y, indexing="ij")
-
 
 def _frozen_linspace(start: float, stop: float, num: int) -> np.ndarray:
     a = np.linspace(start, stop, num)

@@ -81,8 +81,18 @@ class VelocityCoeffs:
 
     @property
     def max_speed(self) -> float:
-        """max over nodes of |u1| + |u2|; the default dissipation strength."""
-        return float(np.max(np.abs(self.lam_x) + np.abs(self.lam_y)))
+        """max over nodes of |u1| + |u2|, the default dissipation strength,
+        from the values each speed holds; if no axis varies in both, it is
+        max|u1| + max|u2|, exactly, as rounding is monotone."""
+        u1, u2 = (np.abs(_held(lam)) for lam in (self.lam_x, self.lam_y))
+        if all(1 in sizes for sizes in zip(u1.shape, u2.shape)):
+            return float(u1.max() + u2.max())
+        return float(np.max(u1 + u2))
+
+
+def _held(a: np.ndarray) -> np.ndarray:
+    """The values view ``a`` holds: its first entry along each axis of stride 0."""
+    return a[tuple(slice(None, 1 if stride == 0 else None) for stride in a.strides)]
 
 
 def _fewest(name: str, value, grid: Grid2D) -> np.ndarray:
@@ -268,9 +278,9 @@ class InductionRhs:
     applied to one strip of whole rows at a time, all of them to a strip
     before the next, so that a strip's arrays stay in cache (see
     ``STRIP_NODES``); a state of up to about 200² nodes per component is
-    one strip.  A strip starts and ends on the block boundaries of the x
-    stencil, so every node gets the block products of the one-strip
-    apply, and the result does not depend on the cut, bit for bit.
+    one strip, a contiguous view of one or both components.  A strip starts
+    and ends on the block boundaries of the x stencil, so every node gets
+    the block products of the one-strip apply, bit for bit.
     Everything that does not change between calls is built here: per
     axis the stencils of -D and of the dissipation (``BandedStencil``,
     which scales each by its power of h), the coupling pairs, the SAT
@@ -370,10 +380,11 @@ class InductionRhs:
         v = np.ascontiguousarray(v, dtype=float)
         rhs, swapped = np.empty(self.shape), v[::-1]
         for node, w, lam_x, lam_y, sub, add in self._strips:
-            r = self._dx.apply(v, rhs[node], *node)
+            part = v[node[0]]
+            r = self._dx.apply(part, rhs[node], node[1])
             if lam_x is not None:
                 r *= lam_x
-            self._dy.apply(v, w, *node)
+            self._dy.apply(part, w, node[1])
             if lam_y is not None:
                 w *= lam_y
             r += w
@@ -384,7 +395,7 @@ class InductionRhs:
                 np.multiply(add, swapped[node], out=w)
                 r += w
             for stencil in self._diss:
-                stencil.apply(v, w, *node)
+                stencil.apply(part, w, node[1])
                 r += w
 
         sx, sy = self._edge_steps

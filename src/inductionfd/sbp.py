@@ -8,12 +8,13 @@ which is what every energy estimate in this package rests on.
 
 Application is matrix-free (``BandedStencil``): a stencil holds a
 weighted sum of operators along one axis, each scaled by its own power
-of the grid spacing, so no caller handles h.  Interior rows are
-evaluated as products of one small banded block with overlapping windows
-of the field, and the closure rows by small dense blocks, along either
-of the last two axes of a field of shape (..., npx, npy).  An apply can
-be limited to a strip of rows that starts and ends on the block
-boundaries of the x stencil, and then writes an array shaped like the strip.
+of the grid spacing, so no caller handles h.  An apply is the interior
+blocks plus one dense block per end, along either of the last two axes
+of a field of shape (..., npx, npy): products of one small banded block
+with overlapping windows of the field, and of a small dense block with
+each end of a line.  An apply can be limited to a strip of rows that
+starts and ends on the block boundaries of the x stencil, and then
+writes an array shaped like the strip.
 """
 
 from __future__ import annotations
@@ -150,35 +151,37 @@ class BandedStencil:
     the other extent from the array it is given: a plane, or a line, that
     is a column (fields, n, 1) along x and a row (fields, 1, n) along y.
 
-    The interior rows are applied in blocks of ``_BLOCK`` consecutive
-    nodes: one constant block matrix of ``_BLOCK`` rows by ``_BLOCK`` + 2w
+    An apply is the interior blocks plus one dense block per end.  The
+    interior rows are applied in blocks of ``_BLOCK`` consecutive nodes:
+    one constant block matrix of ``_BLOCK`` rows by ``_BLOCK`` + 2w
     columns (w the stencil half-width) holds the summed interior row
     shifted by one column per row, and it multiplies windows of
-    ``_BLOCK`` + 2w input lines taken every ``_BLOCK`` lines: whole rows along x (block times window), whole
-    columns along y (window times the block's transpose).  The windows
-    overlap, so they and the output blocks are strided views of the
-    operands' buffers, and the full blocks of an apply are one batched
-    matmul.  The blocks start at the first interior node of each field;
-    the last ``m % _BLOCK`` interior nodes (m of them in a line) form a
-    shorter block cut from the same matrix.  The closure rows are small
-    dense blocks, stored scaled and contiguous, transposed along y, so
-    each is one matmul too.  Every stencil half-width is at most the
-    closure size (checked here), so every window lies inside the line.
+    ``_BLOCK`` + 2w input lines taken every ``_BLOCK`` lines: whole rows
+    along x (block times window), whole columns along y (window times the
+    block's transpose).  The windows overlap, so they and the output
+    blocks are strided views of the operands' buffers, and the whole
+    blocks of an apply are one batched matmul.  The blocks start at the
+    first interior node of each field.  The edge blocks, stored scaled and
+    contiguous, transposed along y, are one matmul each: ``top`` holds the
+    top closure rows, ``bot`` the last ``m % _BLOCK`` interior rows (m in a
+    line), cut from the block matrix, and the bottom closure rows.  Every
+    stencil half-width is at most the closure size (checked here), so
+    every window lies inside the line.
 
-    An apply can be limited to some fields and a range of their rows
-    (lines of npy nodes), so that a caller can run several operators on
+    An apply can be limited to a range of rows (lines of npy nodes) of
+    the fields it is given, so that a caller can run several operators on
     one cache-sized strip before it moves on; it writes an array shaped
     like the strip, so the caller's buffers need only be that large.
     Along x the range starts and ends at nodes of ``cuts``: the two ends
     of a field and the starts of its interior blocks but the first and
-    the last, so a range holds whole blocks, at least one, and takes the
-    closure rows and the short block with the ends of the field.  Along y
-    any range will do, as each row is a line of its own.  Every node thus
-    gets the same products as in the full apply, bit for bit, as long as
-    BLAS computes each row of a product alike whatever the number of
-    rows: it does for two rows and more, not for a range of one row along
-    y, which no strip is.  The views of an apply's products are worked
-    out on its first apply to an array of that shape and range, and kept.
+    the last, so a range holds whole blocks, at least one, and takes an
+    edge block with each end of the field it holds.  Along y any range
+    will do, as each row is a line of its own.  Every node thus gets the
+    same products as in the full apply, bit for bit, as long as BLAS
+    computes each row of a product alike whatever the number of rows: it
+    does for two rows and more, not for a range of one row along y, which
+    no strip is.  The views of an apply's products are worked out on its
+    first apply to an array of that shape and range, and kept.
     """
 
     def __init__(self, terms, axis: int, grid: Grid2D):
@@ -210,45 +213,46 @@ class BandedStencil:
         block = np.zeros((_BLOCK, _BLOCK + 2 * width))
         for i in range(_BLOCK):
             block[i, i : i + len(interior)] = interior
-        closure = top.shape[0]
+        closure, reach = top.shape
         if width > closure:
             raise ValueError(f"interior stencil half-width {width} exceeds the "
                              f"{closure} closure rows")
         full, short = divmod(n - 2 * closure, _BLOCK)
-        tail = block[:short, : short + 2 * width]
+        # the bottom edge: the last ``short`` interior rows and the closure
+        edge = np.zeros((short + closure, max(short + closure + width, reach)))
+        edge[:short, -(short + closure + width):][:, : short + 2 * width] = \
+            block[:short, : short + 2 * width]
+        edge[short:, -reach:] = bot
         if axis == -1:
-            top, bot, block, tail = top.T, bot.T, block.T, tail.T
+            top, edge, block = top.T, edge.T, block.T
         self.axis = axis
         self.n = n
         self.width = width
         self.closure = closure
         self.full = full
-        self.short = short
         self.block = np.ascontiguousarray(block)
-        self.tail = np.ascontiguousarray(tail)
         self.top = np.ascontiguousarray(top)
-        self.bot = np.ascontiguousarray(bot)
+        self.bot = np.ascontiguousarray(edge)
         #: the nodes that the row range of an x apply may start or end at
         self.cuts = (0, *range(closure + _BLOCK, closure + _BLOCK * full, _BLOCK), n)
         self._plans = {}
 
-    def apply(self, f: np.ndarray, out: np.ndarray, fields: slice = slice(None),
-              rows: slice = slice(None)) -> np.ndarray:
-        """Write the operator applied to ``f[fields, rows]`` into ``out`` and
-        return ``out``.  ``f`` is a C-contiguous float array (fields, npx,
-        npy) with n nodes along the stencil's axis; ``out`` is one shaped
+    def apply(self, f: np.ndarray, out: np.ndarray, rows: slice = slice(None)) -> np.ndarray:
+        """Write the operator applied to ``f[:, rows]`` into ``out`` and
+        return ``out``: the interior blocks plus one dense block per end.
+        ``f`` is a C-contiguous float array (fields, npx, npy), or such a
+        view, with n nodes along the stencil's axis; ``out`` is one shaped
         like the strip, (fields, rows, npy), so a caller can keep the
         strip's result in a buffer of its own size.
 
-        ``fields`` and ``rows`` are nonempty slices of step 1 of the first
-        two axes of ``f``, by default all of them; along x, ``rows`` must
-        start and end at nodes of ``cuts`` (ValueError otherwise).
+        ``rows`` is a nonempty slice of step 1 of the second axis of ``f``,
+        by default all of it; along x it must start and end at nodes of
+        ``cuts`` (ValueError otherwise).
         """
-        key = (fields.start, fields.stop, fields.step, rows.start, rows.stop, rows.step, f.shape)
+        key = (rows.start, rows.stop, rows.step, f.shape)
         plan = self._plans.get(key)
         if plan is None:
-            plan = self._plans[key] = self._plan(f.shape, fields.indices(len(f)),
-                                                 rows.indices(f.shape[1]))
+            plan = self._plans[key] = self._plan(f.shape, rows.indices(f.shape[1]))
         interior, edges = plan
         along_x = self.axis == -2
         if interior is not None:
@@ -260,65 +264,52 @@ class BandedStencil:
             np.matmul(*((block, f[src]) if along_x else (f[src], block)), out=out[dst])
         return out
 
-    def _plan(self, shape: tuple, fields: tuple, rows: tuple) -> tuple:
-        """(interior, edges) of an apply to the (start, stop, step) ranges
-        ``fields`` and ``rows`` of an f of ``shape`` (fields, npx, npy).
-        ``interior`` is the batched product of the whole blocks in the
-        range, as its block and the (shape, byte offset, byte strides) of
-        its windows in f and of its target in the strip-shaped out, or
-        None; ``edges`` holds the closure and short-block products, each as
-        its block and the indices of its other factor in f and of its
-        target in out."""
-        (f0, f1, f_step), (a, b, step) = fields, rows
-        npx, npy = shape[1:]
-        n, lo, width, full, short = self.n, self.closure, self.width, self.full, self.short
+    def _plan(self, shape: tuple, rows: tuple) -> tuple:
+        """(interior, edges) of an apply to the (start, stop, step) range
+        ``rows`` of an f of ``shape`` (fields, npx, npy): the interior
+        blocks plus one dense block per end in the range.  ``interior`` is
+        the batched product of the whole blocks in the range, as its block
+        and the (shape, byte offset, byte strides) of its windows in f and
+        of its target in the strip-shaped out, or None; ``edges`` holds the
+        products of the edge blocks, each as its block and the indices of
+        its other factor in f and of its target in out."""
+        (a, b, step), (count, npx, npy) = rows, shape
+        n, lo, width, full = self.n, self.closure, self.width, self.full
         along_x = self.axis == -2
         if shape[self.axis] != n:
             raise ValueError(f"stencil of {n} points applied to an array {shape}")
-        if (f_step, step) != (1, 1) or f0 >= f1 or a >= b or along_x and (
-                a not in self.cuts or b not in self.cuts):
-            raise ValueError(f"cannot apply to fields {f0}:{f1}:{f_step}, rows "
-                             f"{a}:{b}:{step}; ranges must be nonempty of step 1, and "
-                             f"rows along x must start and end at {self.cuts}")
-        first, last = (a == 0, b == npx) if along_x else (True, True)
+        if step != 1 or a >= b or along_x and (a not in self.cuts or b not in self.cuts):
+            raise ValueError(f"cannot apply to rows {a}:{b}:{step}; the range must be "
+                             f"nonempty of step 1, and rows along x must start and end "
+                             f"at {self.cuts}")
 
-        def in_f(start: int, stop: int) -> tuple:
-            """Index in f of nodes start..stop along the axis in the range."""
-            along = slice(start, stop)
-            return (slice(f0, f1), along) if along_x else (slice(f0, f1), slice(a, b), along)
-
-        def in_out(start: int, stop: int) -> tuple:
-            """Index in the strip-shaped out of the same nodes."""
-            return (slice(None), slice(start - a, stop - a)) if along_x else (
-                Ellipsis, slice(start, stop))
-
-        height, reach = self.top.shape if along_x else self.top.shape[::-1]
         edges = []
-        if first:
-            edges.append((self.top, in_f(0, reach), in_out(0, height)))
-        if last:
-            edges.append((self.bot, in_f(n - reach, n), in_out(n - height, n)))
-        if last and short:
-            start = lo + _BLOCK * full
-            edges.append((self.tail, in_f(start - width, start + short + width),
-                          in_out(start, start + short)))
+        for block, top in ((self.top, True), (self.bot, False)):
+            height, reach = block.shape if along_x else block.shape[::-1]
+            f0, o0 = (0, 0) if top else (n - reach, n - height)
+            if not along_x:
+                edges.append((block, (slice(None), slice(a, b), slice(f0, f0 + reach)),
+                              (Ellipsis, slice(o0, o0 + height))))
+            elif (a == 0) if top else (b == npx):
+                edges.append((block, (slice(None), slice(f0, f0 + reach)),
+                              (slice(None), slice(o0 - a, o0 - a + height))))
 
         item = np.dtype(float).itemsize
         line, field, strip = npy * item, npx * npy * item, (b - a) * npy * item
         if along_x:
             # the whole blocks in the range, each over whole rows of the fields
             j0, j1 = max(a - lo, 0) // _BLOCK, min((b - lo) // _BLOCK, full)
-            base, out_base, unit = f0 * field, -a * line, line
+            base, out_base, unit = 0, -a * line, line
             strides = (_BLOCK * line, line, item)
-            batch = lambda size: (f1 - f0, j1 - j0, size, npy)
+            batch = lambda size: (count, j1 - j0, size, npy)
         else:
             # every column block over the range's rows; the rows of whole
             # fields are one run
             j0, j1 = 0, full
-            count, run = (1, (f1 - f0) * npx) if (a, b) == (0, npx) else (f1 - f0, b - a)
-            base, out_base, unit = (f0 * npx + a) * line, 0, item
+            runs, run = (1, count * npx) if (a, b) == (0, npx) else (count, b - a)
+            base, out_base, unit = a * line, 0, item
             strides = (_BLOCK * item, line, item)
-            batch = lambda size: (count, full, run, size)
+            batch = lambda size: (runs, full, run, size)
         if j0 == j1:
             return None, edges
         start = lo + _BLOCK * j0

@@ -8,7 +8,7 @@ from typing import Callable
 import numpy as np
 
 from .grid import Grid2D
-from .induction import VelocityCoeffs
+from .induction import VelocityCoeffs, _held
 
 METHODS = ("rk2", "rk4", "ssp32")
 
@@ -55,9 +55,9 @@ def compute_dt(grid: Grid2D, coeffs: VelocityCoeffs, courant: float) -> float:
     taken.  It is not range-checked here; ``SchemeConfig`` validates the
     scheme's cfl.
     """
-    denom = (
-        np.max(np.abs(coeffs.lam_x)) / grid.dx + np.max(np.abs(coeffs.lam_y)) / grid.dy
-    )
+    # the maxima of the values each speed holds, not of its broadcast plane
+    u1, u2 = (np.max(np.abs(_held(lam))) for lam in (coeffs.lam_x, coeffs.lam_y))
+    denom = u1 / grid.dx + u2 / grid.dy
     if denom == 0.0:
         raise ValueError("velocity vanishes everywhere; no advective step exists")
     return courant / float(denom)

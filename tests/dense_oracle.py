@@ -105,7 +105,7 @@ def dense_rhs_matrix(grid, order: int, velocity, theta: float = 1.0,
     """
     npx, npy = grid.npx, grid.npy
     nn = npx * npy
-    x, y = grid.meshgrid()
+    x, y = np.meshgrid(grid.x, grid.y, indexing="ij")
     u1, u2 = (np.broadcast_to(c, (npx, npy)).astype(float)
               for c in velocity(x, y))
 

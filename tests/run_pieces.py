@@ -34,7 +34,7 @@ def run_pieces(setup) -> RunPieces:
     """(coeffs, bdata, sat, diss_x, diss_y) of the run ``setup`` describes."""
     spec, scheme, grid = setup.spec, setup.scheme, setup.grid
     coeffs = sample_velocity(spec.velocity, grid, setup.op_x, setup.op_y)
-    bdata = BoundaryData(grid, None if spec.boundary_mode == "zero" else spec.exact)
+    bdata = BoundaryData(grid, spec.boundary)
     sat = make_sat_config(coeffs, grid, setup.op_x, setup.op_y, scheme.theta)
     diss = (None, None)
     if scheme.dissipation != "none":

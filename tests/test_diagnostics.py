@@ -48,7 +48,7 @@ class TestDiscreteDivergence:
     def test_divergence_free_linear_field(self):
         """B = (y, x) is divergence free and linear, hence exact."""
         grid = Grid2D(-1.0, 1.0, -1.0, 1.0, 11, 13)
-        xx, yy = grid.meshgrid()
+        xx, yy = np.meshgrid(grid.x, grid.y, indexing="ij")
         v = np.stack([yy, xx])
         for order in (2, 4):
             op_x, op_y = build_sbp(order, 11), build_sbp(order, 13)
@@ -57,7 +57,7 @@ class TestDiscreteDivergence:
 
     def test_quadratic_field_exact_at_order_4(self):
         grid = Grid2D(0.0, 1.0, 0.0, 1.0, 12, 12)
-        xx, yy = grid.meshgrid()
+        xx, yy = np.meshgrid(grid.x, grid.y, indexing="ij")
         v = np.stack([xx**2, yy**2])
         op = build_sbp(4, 12)
         div = discrete_divergence(v, grid, op, op)
@@ -83,14 +83,14 @@ class TestRelPercentError:
         """A field 1 percent larger in magnitude gives exactly 1.0."""
         grid = Grid2D(0.0, 1.0, 0.0, 1.0, 8, 8)
         exact = lambda x, y, t: (np.cos(x) + 2.0, np.sin(y) + t)
-        xx, yy = grid.meshgrid()
+        xx, yy = np.meshgrid(grid.x, grid.y, indexing="ij")
         v = 1.01 * np.stack(exact(xx, yy, 0.5))
         assert rel_percent_error(v, exact, 0.5, grid) == pytest.approx(1.0, rel=1e-10)
 
     def test_exact_sample_gives_zero(self):
         grid = Grid2D(0.0, 1.0, 0.0, 1.0, 6, 7)
         exact = lambda x, y, t: (x * y, x - y + t)
-        xx, yy = grid.meshgrid()
+        xx, yy = np.meshgrid(grid.x, grid.y, indexing="ij")
         v = np.stack(exact(xx, yy, 2.0))
         assert rel_percent_error(v, exact, 2.0, grid) == 0.0
 

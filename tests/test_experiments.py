@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from inductionfd import (
-    Grid2D,
     InstabilityError,
     assemble,
     build_sbp,
@@ -31,10 +30,10 @@ from run_pieces import assert_rhs_applies, run_pieces
 
 
 def _forbid_meshgrid(monkeypatch):
-    """Make ``Grid2D.meshgrid`` raise: a run samples on the open mesh."""
-    def meshgrid(self):
+    """Make ``numpy.meshgrid`` raise: a run samples on the open mesh."""
+    def meshgrid(*args, **kwargs):
         raise AssertionError("a run built a full meshgrid")
-    monkeypatch.setattr(Grid2D, "meshgrid", meshgrid)
+    monkeypatch.setattr(np, "meshgrid", meshgrid)
 
 
 class TestExactSolutions:
@@ -72,8 +71,8 @@ class TestExactSolutions:
         for n in (64, 128):
             grid = spec.make_grid(n, n)
             op = build_sbp(4, n)
-            xx, yy = grid.meshgrid()
-            div = discrete_divergence(np.stack(_hump(xx, yy)), grid, op, op)
+            hump = np.stack(_hump(grid.x[:, None], grid.y[None, :]))
+            div = discrete_divergence(hump, grid, op, op)
             maxima.append(np.abs(div).max())
             interior.append(np.abs(div[8:-8, 8:-8]).max())
         assert maxima[0] < 0.02
@@ -103,14 +102,14 @@ class TestSpecs:
     def test_experiment1_defaults(self):
         spec = experiment1()
         assert (spec.xmin, spec.xmax, spec.ymin, spec.ymax) == (-1, 1, -1, 1)
-        assert spec.boundary_mode == "zero"
+        assert spec.boundary is None
         assert spec.t_final == pytest.approx(2.0 * np.pi)
         assert spec.grids == (40, 80, 160, 320, 640)
 
     def test_experiment2_defaults(self):
         spec = experiment2()
         assert (spec.xmin, spec.xmax) == (0, 1)
-        assert spec.boundary_mode == "exact"
+        assert spec.boundary is spec.exact
         assert spec.grids == (10, 20, 40, 80, 160)
 
     def test_experiment3_defaults(self):
@@ -227,7 +226,7 @@ class TestStudyVariants:
 
     def test_study_spec_uses_exact_trace_for_experiment1(self):
         spec = study_spec(experiment1())
-        assert spec.boundary_mode == "exact"
+        assert spec.boundary is spec.exact
         assert spec.id == 1 and spec.t_final == experiment1().t_final
 
     def test_study_spec_leaves_others_alone(self):
@@ -267,16 +266,19 @@ class TestAssemble:
         assert_rhs_applies(setup, pieces)
 
     def test_boundary_mode_follows_spec(self):
-        """Zero data for experiment 1, its exact solution for experiment 2;
-        a spec with any other mode is rejected."""
+        """A spec's boundary data is its run's: zero data (None) for
+        experiment 1, its exact solution for experiment 2; data that is
+        neither None nor a callable is rejected at ``assemble``."""
         for spec, exact in ((experiment1(), None), (experiment2(), experiment2().exact)):
             setup = assemble(spec, scheme_config("sbp2"), 12, 12)
             pieces = run_pieces(setup)
             assert pieces.bdata.exact is exact
+            assert (setup.rhs.boundary_data(0.3) is None) == (exact is None)
             assert_rhs_applies(setup, pieces)
-        for mode in ("periodic", "Zero", None):
-            with pytest.raises(ValueError, match="boundary_mode must be"):
-                replace(experiment1(), boundary_mode=mode)
+        for mode in ("periodic", "Zero"):
+            spec = replace(experiment1(), boundary=mode)
+            with pytest.raises(ValueError, match="must be None or a callable"):
+                assemble(spec, scheme_config("sbp2"), 12, 12)
 
     def test_rectangular_grid(self):
         setup = assemble(experiment1(), scheme_config("sbp2"), 11, 17)

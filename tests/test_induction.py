@@ -57,7 +57,7 @@ class TestMagneticField:
     def test_sample_and_views(self):
         grid = Grid2D(0.0, 1.0, 0.0, 2.0, 5, 7)
         field = MagneticField.sample(grid, lambda x, y: (x + y, x - y))
-        xx, yy = grid.meshgrid()
+        xx, yy = np.meshgrid(grid.x, grid.y, indexing="ij")
         np.testing.assert_allclose(field.data[0], xx + yy)
         np.testing.assert_allclose(field.data[1], xx - yy)
         np.testing.assert_allclose(field.magnitude(), np.hypot(xx + yy, xx - yy))
@@ -197,7 +197,7 @@ class TestBoundaryTrace:
         np.testing.assert_allclose(g_y[0, :, 0], grid.x - 10.0)  # ymin
         np.testing.assert_allclose(g_y[1, :, 0], -1.0)
         # the layout is that of the strided boundary views of a field
-        xx, yy = grid.meshgrid()
+        xx, yy = np.meshgrid(grid.x, grid.y, indexing="ij")
         np.testing.assert_array_equal(g_x, np.stack(exact(xx[::5, :], yy[::5, :], 0.0)))
         np.testing.assert_array_equal(g_y, np.stack(exact(xx[:, ::4], yy[:, ::4], 0.0)))
 
@@ -333,7 +333,7 @@ class TestConsistency:
             sat = make_sat_config(coeffs, grid, op, op)
             bdata = BoundaryData.from_exact(grid, self._translate_exact)
             t = 0.3
-            xx, yy = grid.meshgrid()
+            xx, yy = np.meshgrid(grid.x, grid.y, indexing="ij")
             v = np.stack(self._translate_exact(xx, yy, t))
             want = np.stack(self._translate_dbdt(xx, yy, t))
             got = compute_rhs(v, t, grid, coeffs, bdata, sat, op, op)
@@ -420,7 +420,7 @@ class TestFusedRhs:
 
         bdata = BoundaryData.from_exact(grid, exact)
         # the per-side reference data, sampled before counting calls
-        xx, yy = grid.meshgrid()
+        xx, yy = np.meshgrid(grid.x, grid.y, indexing="ij")
         edges = (np.s_[0, :], np.s_[-1, :], np.s_[:, 0], np.s_[:, -1])
         traces = [exact(xx[edge], yy[edge], 0.3) for edge in edges]
         calls.clear()

@@ -14,7 +14,7 @@ from inductionfd import (
     build_sbp,
     verify_sbp,
 )
-from inductionfd.sbp import EXACT_DEGREE, BandedStencil
+from inductionfd.sbp import _MIN_POINTS, EXACT_DEGREE, BandedStencil
 
 from dense_oracle import dense_d, dense_dissipation, dense_p, dense_q
 
@@ -120,7 +120,7 @@ def test_banded_apply_matches_dense(order, shape):
 
 def test_apply_dx_on_y_field_is_zero():
     grid = Grid2D(0.0, 1.0, 0.0, 1.0, 12, 12)
-    _, y = grid.meshgrid()
+    y = np.broadcast_to(grid.y, grid.shape)
     op = build_sbp(4, 12)
     np.testing.assert_allclose(apply_dx(op, y, grid), 0.0, atol=5e-13)
     np.testing.assert_allclose(apply_dy(op, y, grid), 1.0, atol=1e-12)
@@ -166,9 +166,8 @@ class TestGrid:
         assert grid.shape == (41, 21)
         np.testing.assert_allclose(grid.dx, 0.05)
         np.testing.assert_allclose(grid.dy, 0.05)
-        x, y = grid.meshgrid()
-        assert x.shape == grid.shape
-        assert x[0, 0] == -1.0 and y[3, -1] == 1.0
+        assert grid.x.shape == (41,) and grid.y.shape == (21,)
+        assert grid.x[0] == -1.0 and grid.y[-1] == 1.0
 
     def test_coordinates_computed_once_and_read_only(self):
         grid = Grid2D(-1.0, 1.0, 0.0, 3.0, 41, 7)
@@ -218,10 +217,11 @@ def test_stacked_apply_matches_per_field(order):
 @pytest.mark.parametrize("order, shape", _BLOCK_EDGE_SHAPES)
 def test_row_range_apply_matches_full_apply(monkeypatch, order, shape):
     """Every strip layout of ``InductionRhs`` and a range of rows between
-    any two cuts of the x stencil, over one or several fields, write into
-    an ``out`` shaped like the strip the full apply's values there, bit
-    for bit, along both axes, for derivative and dissipation operators; a
-    range of rows that does not start and end at a cut is rejected."""
+    any two cuts of the x stencil, applied to a view of one or several
+    fields, write into an ``out`` shaped like the strip the full apply's
+    values there, bit for bit, along both axes, for derivative and
+    dissipation operators; a range of rows that does not start and end at
+    a cut is rejected."""
     rng = np.random.default_rng(17)
     stack = rng.normal(size=(3,) + shape)
     ops = (
@@ -241,10 +241,10 @@ def test_row_range_apply_matches_full_apply(monkeypatch, order, shape):
         stencil = BandedStencil([(op, 0.7)], axis, grid)
         full = stencil.apply(stack, np.empty_like(stack))
         for layout in layouts:
-            for index in layout:
-                out = np.full_like(stack[index], np.nan)
-                assert stencil.apply(stack, out, *index) is out
-                np.testing.assert_array_equal(out, full[index])
+            for fields, rows in layout:
+                out = np.full_like(stack[fields, rows], np.nan)
+                assert stencil.apply(stack[fields], out, rows) is out
+                np.testing.assert_array_equal(out, full[fields, rows])
         if axis == -2:
             for rows in (slice(0, shape[0] - 1), slice(1, shape[0]), slice(0, 0)):
                 with pytest.raises(ValueError, match="must start and end at"):
@@ -289,3 +289,43 @@ def test_stencil_rejects_bad_terms():
             BandedStencil(terms, -2, grid)
     with pytest.raises(ValueError, match="operator built for 12 points, grid has npy=9"):
         BandedStencil([(build_sbp(2, 12), 1.0)], -1, grid)
+
+
+@pytest.mark.parametrize("order", [2, 4])
+def test_edge_blocks_cover_every_remainder(monkeypatch, order):
+    """On every line length from the operator's minimum to 2 closures plus
+    24 nodes, so that the interior holds 0, 1 and 2 whole blocks and any
+    remainder of 8, a two-term stencil (D, -0.7) plus upwind A equals the
+    dense matrices: along x whole, between every two cuts and on a view
+    of one field, along y whole and on a row range of one field.  A whole
+    apply is the interior product and one product per end, at most three
+    ``np.matmul`` calls."""
+    closure = build_sbp(order, 40).top.shape[0]
+    calls = []
+    matmul = np.matmul
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return matmul(*args, **kwargs)
+
+    for n in range(_MIN_POINTS[order], 2 * closure + 25):
+        grid = Grid2D(-1.0, 1.5, 0.0, 2.0, n, n)
+        stack = np.random.default_rng(n).normal(size=(2, n, n))
+        for axis, h in ((-2, grid.dx), (-1, grid.dy)):
+            d, a = build_sbp(order, n), build_dissipation(order, "upwind", 1.3, n)
+            matrix = -0.7 * dense_d(order, n, h) + dense_dissipation(order, "upwind", 1.3, n, h)
+            want = np.einsum("ij,fjk->fik", matrix, stack) if axis == -2 else stack @ matrix.T
+            tol = 1e-13 * np.abs(want).max()
+            stencil = BandedStencil([(d, -0.7), (a, 1.0)], axis, grid)
+            ranges = ([(slice(None), slice(i, j)) for i, j in combinations(stencil.cuts, 2)]
+                      + [(slice(1, 2), slice(None))] if axis == -2
+                      else [(slice(1, 2), slice(1, n - 1))])
+            monkeypatch.setattr(np, "matmul", counted)
+            calls.clear()
+            got = stencil.apply(stack, np.empty_like(stack))
+            monkeypatch.setattr(np, "matmul", matmul)
+            assert len(calls) <= 3, (n, axis, len(calls))
+            np.testing.assert_allclose(got, want, rtol=0, atol=tol)
+            for fields, rows in ranges:
+                part = stencil.apply(stack[fields], np.empty_like(stack[fields, rows]), rows)
+                np.testing.assert_allclose(part, want[fields, rows], rtol=0, atol=tol)

@@ -1,5 +1,7 @@
 """Tests for the explicit Runge-Kutta integrators and CFL step control."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from inductionfd import (
     build_sbp,
     compute_dt,
     compute_rhs,
+    experiment1,
     experiment3,
     integrate,
     make_sat_config,
@@ -54,6 +57,28 @@ class TestComputeDt:
         coeffs = sample_velocity(lambda x, y: (0.0, 0.0), grid, op, op)
         with pytest.raises(ValueError, match="vanishes"):
             compute_dt(grid, coeffs, 1.0)
+
+    def test_speeds_reduced_at_their_rank(self):
+        """``max_speed`` and ``compute_dt`` read only the values the
+        rotation's speeds hold, a row and a column: at 320² the peak
+        allocation of each call stays below one plane (819 200 B), and the
+        results equal the reductions of the full planes, bit for bit."""
+        spec = experiment1()
+        grid, op = spec.make_grid(320, 320), build_sbp(4, 320)
+        coeffs = sample_velocity(spec.velocity, grid, op, op)
+        lam_x, lam_y = (np.abs(np.array(lam)) for lam in (coeffs.lam_x, coeffs.lam_y))
+        want = (float(np.max(lam_x + lam_y)),
+                0.9 / float(np.max(lam_x) / grid.dx + np.max(lam_y) / grid.dy))
+        for call, value in zip((lambda: coeffs.max_speed,
+                                lambda: compute_dt(grid, coeffs, 0.9)), want):
+            tracemalloc.start()
+            try:
+                got = call()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert got == value
+            assert peak < 8 * 320 * 320
 
 
 class TestConfig:
@@ -282,7 +307,7 @@ class TestDiscreteEnergy:
         bdata = BoundaryData.zero(grid)
         alpha = coeffs.max_speed
         diss = build_dissipation(order, "accurate", alpha, 24)
-        xx, yy = grid.meshgrid()
+        xx, yy = np.meshgrid(grid.x, grid.y, indexing="ij")
         v0 = np.stack([
             np.sin(2.0 * np.pi * xx) * yy, np.cos(np.pi * xx * yy),
         ])
