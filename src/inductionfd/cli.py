@@ -186,25 +186,27 @@ def write_field_dump(field: MagneticField, div: np.ndarray, path, meta: dict) ->
     The CSV holds a header plus one row per node (x-major, y-inner).  The
     run metadata goes to a sidecar file ``<path>.meta`` as a single
     ``#``-prefixed line, keeping the CSV itself plain.  Values use six
-    significant digits; each x row is formatted by one batched ``%``
-    operation (``%.6g`` formats a float exactly as ``format(v, ".6g")``).
+    significant digits.  Each x row is one ``%`` operation on one
+    template, the row's x joined in front of the dump's per-node pieces
+    ``",{y},%.6g,%.6g,%.6g,%.6g\n"``, filled from the row's values as a
+    flat list (``%.6g`` formats a float exactly as ``format(v, ".6g")``).
+
+    Both files are written and closed when the function returns, in the
+    calling process: a caller may read them, or their sizes, at once, and
+    may hand in a run's accepted state without a copy, since nothing of
+    the write outlives the call.
     """
     grid = field.grid
-    npy = grid.npy
-    xs = [_fmt(v) for v in grid.x]
     meta_line = "# " + " ".join(f"{k}={v}" for k, v in meta.items())
     Path(f"{path}.meta").write_text(meta_line + "\n")
-    row_format = "%s,%s,%.6g,%.6g,%.6g,%.6g\n" * npy
-    # per x row: columns x, y, B1, B2, |B|, div of every node, flattened y-inner
-    cells = np.empty((npy, 6), dtype=object)
-    cells[:, 1] = [_fmt(v) for v in grid.y]
-    values = np.stack([field.data[0], field.data[1], field.magnitude(), div], axis=-1)
+    pieces = ["", *(f",{_fmt(y)},%.6g,%.6g,%.6g,%.6g\n" for y in grid.y)]
+    # per x row: B1, B2, |B| and div of every node, flattened y-inner
+    values = np.stack([field.data[0], field.data[1], field.magnitude(), div],
+                      axis=-1).reshape(grid.npx, -1)
     with open(path, "w") as fh:
         fh.write("x,y,B1,B2,Bmag,divP\n")
-        for i in range(grid.npx):
-            cells[:, 0] = xs[i]
-            cells[:, 2:] = values[i]
-            fh.write(row_format % tuple(cells.ravel()))
+        for x, row in zip(grid.x, values):
+            fh.write(_fmt(x).join(pieces) % tuple(row.tolist()))
 
 
 def _run_study(config: RunConfig) -> int:
@@ -239,27 +241,26 @@ def _run_once(config: RunConfig) -> int:
         "experiment": config.experiment,
         "scheme": scheme.name,
         "grid": f"{config.nx}x{config.ny}",
-        "t": _fmt(t_final),
     }
 
-    def dump_hook(step: int, t: float, v: np.ndarray) -> None:
-        field = MagneticField(setup.grid, v.copy())
+    def dump(name: str, t: float, v: np.ndarray) -> None:
+        # v is the integrator's accepted state, which it never writes into
         div = discrete_divergence(v, setup.grid, setup.op_x, setup.op_y)
-        write_field_dump(field, div, out / f"fields_step{step:06d}.csv",
-                         {**meta, "t": _fmt(t)})
+        write_field_dump(MagneticField(setup.grid, v), div, out / name, {**meta, "t": _fmt(t)})
 
-    hook = dump_hook if config.dump_every > 0 else None
+    def hook(step: int, t: float, v: np.ndarray) -> None:
+        dump(f"fields_step{step:06d}.csv", t, v)
+
     try:
         field, record = run_single(
-            setup, t_final=t_final, hook=hook,
-            hook_every=config.dump_every if config.dump_every > 0 else 1,
+            setup, t_final=t_final, hook=hook if config.dump_every > 0 else None,
+            hook_every=max(config.dump_every, 1),
         )
     except InstabilityError as exc:
         print(f"instability: {exc}", file=sys.stderr)
         return 2
 
-    div = discrete_divergence(field.data, setup.grid, setup.op_x, setup.op_y)
-    write_field_dump(field, div, out / "fields_final.csv", meta)
+    dump("fields_final.csv", t_final, field.data)
     write_error_table([record], out / "error_table.csv")
     print(
         f"experiment {config.experiment} {scheme.name} {config.nx}x{config.ny} "

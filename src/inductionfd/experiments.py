@@ -40,7 +40,7 @@ from .induction import (
     make_sat_config,
     sample_velocity,
 )
-from .sbp import SbpOperator1D, build_sbp
+from .sbp import _MIN_POINTS, SbpOperator1D, build_sbp
 from .timestep import METHODS, InstabilityError, IntegratorConfig, compute_dt, integrate
 
 DISSIPATION_MODES = ("none", "accurate", "upwind")
@@ -66,10 +66,11 @@ class SchemeConfig:
     and SSPRK(3,2) with it step at an advective Courant number of twice
     ``cfl``, every other combination at ``cfl`` itself (see
     ``COURANT_PER_CFL``).  This is the one place
-    that checks the scheme's inputs: a finite theta >= 1/2 keeps the SAT
-    boundary terms of the energy estimate non-positive, cfl must lie in
-    (0, 1], and the integrator must be one of ``timestep.METHODS``
-    (``rk2``, ``rk4`` or ``ssp32``).
+    that checks the scheme's inputs: the order must be one that has
+    operators (2 or 4), a finite theta >= 1/2 keeps the SAT boundary
+    terms of the energy estimate non-positive, cfl must lie in (0, 1],
+    and the integrator must be one of ``timestep.METHODS`` (``rk2``,
+    ``rk4`` or ``ssp32``).
     """
 
     name: str
@@ -80,6 +81,9 @@ class SchemeConfig:
     integrator: str = "rk2"
 
     def __post_init__(self) -> None:
+        if self.order not in _MIN_POINTS:
+            raise ValueError(f"unsupported order {self.order}, expected one of "
+                             f"{sorted(_MIN_POINTS)}")
         if self.dissipation not in DISSIPATION_MODES:
             raise ValueError(
                 f"unknown dissipation mode {self.dissipation!r}, "

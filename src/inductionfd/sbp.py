@@ -181,7 +181,8 @@ class BandedStencil:
     computes each row of a product alike whatever the number of rows: it
     does for two rows and more, not for a range of one row along y, which
     no strip is.  The views of an apply's products are worked out on its
-    first apply to an array of that shape and range, and kept.
+    first apply to an array of that shape and range, with a check of both
+    operands, and kept with their dtypes and strides.
     """
 
     def __init__(self, terms, axis: int, grid: Grid2D):
@@ -240,39 +241,50 @@ class BandedStencil:
     def apply(self, f: np.ndarray, out: np.ndarray, rows: slice = slice(None)) -> np.ndarray:
         """Write the operator applied to ``f[:, rows]`` into ``out`` and
         return ``out``: the interior blocks plus one dense block per end.
-        ``f`` is a C-contiguous float array (fields, npx, npy), or such a
+        ``f`` is a C-contiguous float64 array (fields, npx, npy), or such a
         view, with n nodes along the stencil's axis; ``out`` is one shaped
         like the strip, (fields, rows, npy), so a caller can keep the
         strip's result in a buffer of its own size.
 
         ``rows`` is a nonempty slice of step 1 of the second axis of ``f``,
         by default all of it; along x it must start and end at nodes of
-        ``cuts`` (ValueError otherwise).
+        ``cuts``.  Any other operand raises ValueError.  A plan keeps the
+        dtypes, strides and out shape of the operands it was checked on,
+        so an apply like the last one to its range costs one comparison.
         """
         key = (rows.start, rows.stop, rows.step, f.shape)
+        operands = (f.dtype, f.strides, out.dtype, out.strides, out.shape)
         plan = self._plans.get(key)
-        if plan is None:
-            plan = self._plans[key] = self._plan(f.shape, rows.indices(f.shape[1]))
-        interior, edges = plan
+        if plan is None or plan[0] != operands:
+            plan = self._plans[key] = (operands, *self._plan(f, out, rows.indices(f.shape[1])))
+        _, interior, edges = plan
         along_x = self.axis == -2
         if interior is not None:
-            block, window, target = interior
-            src = np.ndarray(window[0], float, f, *window[1:])
-            dst = np.ndarray(target[0], float, out, *target[1:])
-            np.matmul(*((block, src) if along_x else (src, block)), out=dst)
+            block, (src_shape, src_at, src_strides), (dst_shape, dst_at, dst_strides) = interior
+            src = np.ndarray(src_shape, float, f, src_at, src_strides)
+            dst = np.ndarray(dst_shape, float, out, dst_at, dst_strides)
+            if along_x:
+                np.matmul(block, src, out=dst)
+            else:
+                np.matmul(src, block, out=dst)
         for block, src, dst in edges:
-            np.matmul(*((block, f[src]) if along_x else (f[src], block)), out=out[dst])
+            if along_x:
+                np.matmul(block, f[src], out=out[dst])
+            else:
+                np.matmul(f[src], block, out=out[dst])
         return out
 
-    def _plan(self, shape: tuple, rows: tuple) -> tuple:
+    def _plan(self, f: np.ndarray, out: np.ndarray, rows: tuple) -> tuple:
         """(interior, edges) of an apply to the (start, stop, step) range
-        ``rows`` of an f of ``shape`` (fields, npx, npy): the interior
-        blocks plus one dense block per end in the range.  ``interior`` is
-        the batched product of the whole blocks in the range, as its block
-        and the (shape, byte offset, byte strides) of its windows in f and
-        of its target in the strip-shaped out, or None; ``edges`` holds the
-        products of the edge blocks, each as its block and the indices of
-        its other factor in f and of its target in out."""
+        ``rows`` of ``f`` (fields, npx, npy) into ``out``, after checking
+        both operands: the interior blocks plus one dense block per end in
+        the range.  ``interior`` is the batched product of the whole blocks
+        in the range, as its block and the (shape, byte offset, byte
+        strides) of its windows in f and of its target in the strip-shaped
+        out, or None; ``edges`` holds the products of the edge blocks, each
+        as its block and the indices of its other factor in f and of its
+        target in out."""
+        shape = f.shape
         (a, b, step), (count, npx, npy) = rows, shape
         n, lo, width, full = self.n, self.closure, self.width, self.full
         along_x = self.axis == -2
@@ -282,6 +294,12 @@ class BandedStencil:
             raise ValueError(f"cannot apply to rows {a}:{b}:{step}; the range must be "
                              f"nonempty of step 1, and rows along x must start and end "
                              f"at {self.cuts}")
+        if not (f.dtype == out.dtype == np.float64 and f.flags.c_contiguous
+                and out.flags.c_contiguous and out.shape == (count, b - a, npy)):
+            raise ValueError(f"f and out must be C-contiguous float64 arrays and out of "
+                             f"the strip's shape {(count, b - a, npy)}; got f {f.dtype} "
+                             f"of strides {f.strides}, out {out.dtype} of strides "
+                             f"{out.strides} and shape {out.shape}")
 
         edges = []
         for block, top in ((self.top, True), (self.bot, False)):

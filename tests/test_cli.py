@@ -197,6 +197,11 @@ class TestSingleRun:
         assert len(dumps) >= 2  # the initial state plus at least the final step
         meta = (dumps[0].with_suffix(".csv.meta")).read_text()
         assert "t=0" in meta
+        # the last periodic dump is the final state, written by the same routine
+        final = tmp_path / "fields_final.csv"
+        assert dumps[-1].read_bytes() == final.read_bytes()
+        assert (dumps[-1].with_suffix(".csv.meta").read_bytes()
+                == final.with_suffix(".csv.meta").read_bytes())
 
     def test_instability_exits_2(self, tmp_path, capsys):
         with np.errstate(over="ignore"):

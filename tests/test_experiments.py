@@ -172,11 +172,13 @@ class TestSchemeRegistry:
             SchemeConfig("step", order=2, cfl=cfl)
 
     # the cfl case of the integrator config's old validation table; the
-    # scheme now owns cfl, so the case is checked on SchemeConfig
-    @pytest.mark.parametrize("kwargs, match", [(dict(cfl=0.0), "cfl")])
+    # scheme now owns cfl, so the case is checked on SchemeConfig, as is an
+    # order without operators, before any study runs
+    @pytest.mark.parametrize("kwargs, match", [(dict(cfl=0.0), "cfl"),
+                                               (dict(order=3), "order")])
     def test_validation(self, kwargs, match):
         with pytest.raises(ValueError, match=match):
-            SchemeConfig("sbp2", order=2, **kwargs)
+            SchemeConfig("sbp2", **{"order": 2, **kwargs})
 
     def test_unknown_integrator_rejected_when_built(self):
         """The scheme, not a run midway through a study, rejects it."""

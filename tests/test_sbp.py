@@ -329,3 +329,34 @@ def test_edge_blocks_cover_every_remainder(monkeypatch, order):
             for fields, rows in ranges:
                 part = stencil.apply(stack[fields], np.empty_like(stack[fields, rows]), rows)
                 np.testing.assert_allclose(part, want[fields, rows], rtol=0, atol=tol)
+
+
+@pytest.mark.parametrize("axis", [-2, -1])
+def test_apply_rejects_operands_it_cannot_read(axis):
+    """An apply checks its operands against the ones its plan was made
+    for: an f or out that is not a C-contiguous float64 array, or an out
+    not of the strip's shape, raises ValueError, also after an apply of
+    the same shape (an F-ordered stack would otherwise be read with C
+    strides).  Other C-contiguous operands of the same shapes, such as a
+    one-field view of a stride over several, are applied as usual."""
+    grid = Grid2D(0.0, 1.0, 0.0, 1.0, 30, 30)
+    stack = np.random.default_rng(3).normal(size=(2, 30, 30))
+    stencil = BandedStencil([(build_sbp(4, 30), 1.0)], axis, grid)
+    want = stencil.apply(stack, np.empty_like(stack))
+    bad = [
+        (np.asfortranarray(stack), np.empty_like(stack)),
+        (np.repeat(stack, 2, axis=-1)[..., ::2], np.empty_like(stack)),
+        (stack.astype(np.float32), np.empty_like(stack)),
+        (stack, np.empty_like(stack, order="F")),
+        (stack, np.empty_like(stack, dtype=np.float32)),
+        (stack, np.empty((2, 30, 31))[..., :30]),
+        (stack, np.empty((2, 31, 30))),
+        (stack, np.empty((1, 30, 30))),
+    ]
+    for f, out in bad:
+        with pytest.raises(ValueError, match="C-contiguous float64"):
+            stencil.apply(f, out)
+    out = np.full((2, 30, 30), np.nan)[::2]
+    assert out.flags.c_contiguous and out.strides != np.empty_like(out).strides
+    np.testing.assert_array_equal(stencil.apply(stack[:1], out), want[:1])
+    np.testing.assert_array_equal(stencil.apply(stack, np.empty_like(stack)), want)
