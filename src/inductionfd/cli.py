@@ -67,6 +67,10 @@ def _build_parser() -> _Parser:
         epilog=_EXAMPLES,
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
+
+    def defaults(attr: str) -> str:
+        return "default: the scheme's, " + ", ".join(
+            f"{name} {getattr(scheme, attr)}" for name, scheme in SCHEMES.items())
     parser.add_argument("--experiment", type=int, choices=sorted(EXPERIMENTS), required=True,
                         help="benchmark problem to run")
     parser.add_argument("--scheme", choices=sorted(SCHEMES), default="sbp2",
@@ -78,22 +82,20 @@ def _build_parser() -> _Parser:
     parser.add_argument("--cfl", type=float, default=None,
                         help="CFL number in (0, 1]; rk4 without upwind "
                         "dissipation and ssp32 with it step at twice it "
-                        "(default: the scheme's, 0.9 for sbp2 and sbp4, 0.7 for "
-                        "sbp3 and 0.45 for sbp1)")
+                        f"({defaults('cfl')})")
     parser.add_argument("--tfinal", type=float, default=None,
                         help="final time (default: the experiment's)")
     parser.add_argument("--integrator", choices=METHODS, default=None,
-                        help="time integrator (default: the scheme's, rk4 for "
-                        "sbp2 and sbp4, ssp32 (three-stage SSP RK2) for sbp3 "
-                        "and rk2 for sbp1); rk4 doubles the step of a scheme "
-                        "without upwind dissipation, ssp32 that of one with "
-                        "it.  The scheme's cfl is tuned for its own "
+                        help=f"time integrator ({defaults('integrator')}); ssp32 "
+                        "is the three-stage SSP RK2.  rk4 doubles the step of a "
+                        "scheme without upwind dissipation, ssp32 that of one "
+                        "with it.  The scheme's cfl is tuned for its own "
                         "integrator, so another one needs --cfl as well")
     parser.add_argument("--dissipation", choices=DISSIPATION_MODES, default=None,
                         help="override the scheme's dissipation mode")
     parser.add_argument("--theta", type=float, default=None,
-                        help="SAT penalty factor, must be >= 0.5 (default: the "
-                        "scheme's, 1.0)")
+                        help="SAT penalty factor, must be >= 0.5 "
+                        f"({defaults('theta')})")
     parser.add_argument("--out", type=Path, default=Path("out"),
                         help="output directory (default: %(default)s)")
     parser.add_argument("--dump-every", type=int, default=0, metavar="N",
@@ -227,16 +229,14 @@ def _run_study(config: RunConfig) -> int:
 
 
 def _run_once(config: RunConfig) -> int:
-    spec = get_experiment(config.experiment)
     scheme = config.scheme
     try:
-        setup = assemble(spec, scheme, config.nx, config.ny)
+        setup = assemble(get_experiment(config.experiment), scheme, config.nx, config.ny)
     except ValueError as exc:
         print(f"inductionfd: error: {exc}", file=sys.stderr)
         return 1
     out = config.out
     out.mkdir(parents=True, exist_ok=True)
-    t_final = spec.t_final if config.t_final is None else config.t_final
     meta = {
         "experiment": config.experiment,
         "scheme": scheme.name,
@@ -253,18 +253,18 @@ def _run_once(config: RunConfig) -> int:
 
     try:
         field, record = run_single(
-            setup, t_final=t_final, hook=hook if config.dump_every > 0 else None,
+            setup, t_final=config.t_final, hook=hook if config.dump_every > 0 else None,
             hook_every=max(config.dump_every, 1),
         )
     except InstabilityError as exc:
         print(f"instability: {exc}", file=sys.stderr)
         return 2
 
-    dump("fields_final.csv", t_final, field.data)
+    dump("fields_final.csv", record.time, field.data)
     write_error_table([record], out / "error_table.csv")
     print(
         f"experiment {config.experiment} {scheme.name} {config.nx}x{config.ny} "
-        f"t={t_final:.6g}: error {record.error_percent:.6g}%, div l2 {record.div_l2:.6g}"
+        f"t={record.time:.6g}: error {record.error_percent:.6g}%, div l2 {record.div_l2:.6g}"
     )
     return 0
 

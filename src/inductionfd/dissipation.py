@@ -21,11 +21,11 @@ from math import comb
 
 import numpy as np
 
-from .sbp import _MIN_POINTS, _P_CLOSURE, _frozen
+from .sbp import _frozen, closure_weights
 
 #: stencil scaling c_p = 1/(2p(2p-1)) for the undivided p-th difference
 _STENCIL_COEF = {1: 1.0 / 2.0, 2: 1.0 / 12.0}
-_SCALINGS = ("accurate", "upwind")
+SCALINGS = ("accurate", "upwind")
 
 
 @dataclass(frozen=True)
@@ -68,20 +68,15 @@ def build_dissipation(order: int, scaling: str, alpha: float,
 
     ``alpha`` is a wave-speed scale (units of velocity); alpha = 0 yields
     the zero operator.  The stencil is the undivided difference of order
-    p = order/2, the classical companion of the advection operator.
+    p = order/2, the classical companion of the advection operator.  It
+    shares the SBP norm: ``closure_weights`` gives it and checks order, n.
     """
-    if order not in _MIN_POINTS:
-        raise ValueError(f"unsupported order {order}, expected one of {sorted(_MIN_POINTS)}")
-    if scaling not in _SCALINGS:
-        raise ValueError(f"unknown scaling {scaling!r}, expected one of {_SCALINGS}")
-    if alpha < 0:
-        raise ValueError(f"alpha must be nonnegative, got {alpha}")
-    if n < _MIN_POINTS[order]:
-        raise ValueError(
-            f"order-{order} dissipation needs at least {_MIN_POINTS[order]} points, got {n}"
-        )
+    weights = closure_weights(order, n)
+    if scaling not in SCALINGS:
+        raise ValueError(f"unknown scaling {scaling!r}, expected one of {SCALINGS}")
+    if not 0 <= alpha < np.inf:
+        raise ValueError(f"alpha must be nonnegative and finite, got {alpha}")
     p = order // 2
-    weights = np.array(_P_CLOSURE[order])
     # The corner of S^T S (S the (n - p) x n difference matrix) only sees
     # the first ``rows`` rows of S, so the difference matrix on rows + p
     # points gives it exactly; S^T S is persymmetric and so are the

@@ -30,7 +30,7 @@ from .diagnostics import (
     p_weights,
     percent_error,
 )
-from .dissipation import build_dissipation
+from .dissipation import SCALINGS, build_dissipation
 from .grid import Grid2D
 from .induction import (
     BoundaryData,
@@ -40,10 +40,11 @@ from .induction import (
     make_sat_config,
     sample_velocity,
 )
-from .sbp import _MIN_POINTS, SbpOperator1D, build_sbp
-from .timestep import METHODS, InstabilityError, IntegratorConfig, compute_dt, integrate
+from .sbp import SbpOperator1D, build_sbp, closure_weights
+from .timestep import (InstabilityError, IntegratorConfig, check_integrator, compute_dt,
+                       integrate)
 
-DISSIPATION_MODES = ("none", "accurate", "upwind")
+DISSIPATION_MODES = ("none", *SCALINGS)
 
 #: a run whose P-energy after any step exceeds this multiple of the larger
 #: of its initial and exact final P-energies has blown up.  The scheme adds
@@ -65,12 +66,11 @@ class SchemeConfig:
     sets the step through :attr:`courant`: RK4 without upwind dissipation
     and SSPRK(3,2) with it step at an advective Courant number of twice
     ``cfl``, every other combination at ``cfl`` itself (see
-    ``COURANT_PER_CFL``).  This is the one place
-    that checks the scheme's inputs: the order must be one that has
-    operators (2 or 4), a finite theta >= 1/2 keeps the SAT boundary
-    terms of the energy estimate non-positive, cfl must lie in (0, 1],
-    and the integrator must be one of ``timestep.METHODS`` (``rk2``,
-    ``rk4`` or ``ssp32``).
+    ``COURANT_PER_CFL``).  A scheme is checked when built, before any
+    run.  It owns two rules: a finite theta >= 1/2 keeps the SAT boundary
+    terms of the energy estimate non-positive, and cfl lies in (0, 1].
+    It asks the owners of the others: ``sbp.closure_weights`` (the order),
+    ``timestep.check_integrator`` and ``dissipation.SCALINGS``.
     """
 
     name: str
@@ -81,9 +81,7 @@ class SchemeConfig:
     integrator: str = "rk2"
 
     def __post_init__(self) -> None:
-        if self.order not in _MIN_POINTS:
-            raise ValueError(f"unsupported order {self.order}, expected one of "
-                             f"{sorted(_MIN_POINTS)}")
+        closure_weights(self.order)
         if self.dissipation not in DISSIPATION_MODES:
             raise ValueError(
                 f"unknown dissipation mode {self.dissipation!r}, "
@@ -94,10 +92,7 @@ class SchemeConfig:
                              f"got {self.theta}")
         if not (0 < self.cfl <= 1):
             raise ValueError(f"cfl must lie in (0, 1], got {self.cfl}")
-        if self.integrator not in METHODS:
-            raise ValueError(
-                f"unknown integrator {self.integrator!r}, expected one of {METHODS}"
-            )
+        check_integrator(self.integrator)
 
     @property
     def courant(self) -> float:
@@ -356,8 +351,9 @@ def run_single(
     scheme's Courant number (``SchemeConfig.courant``).
 
     Returns the final field and its record: relative error, divergence l2
-    and P-energy at ``t_final``.  The exact field at ``t_final`` is sampled
-    once; ``integrate`` raises InstabilityError at the first step whose
+    and P-energy at ``t_final``, the record's ``time`` (no other function
+    resolves None).  The exact field at ``t_final`` is sampled once;
+    ``integrate`` raises InstabilityError at the first step whose
     P-energy exceeds ``ENERGY_LIMIT`` times the larger of its P-energy and
     that of ``setup.v0``.
     """
@@ -389,20 +385,20 @@ def run_convergence_study(
     grids: Sequence[int] | None = None,
     t_final: float | None = None,
 ) -> dict[str, list[ErrorRecord]]:
-    """Run each scheme over a family of n x n grids and measure final errors.
+    """Run each scheme over a family of n x n grids and measure final errors
+    at ``t_final``, which goes to ``run_single`` as given.
 
     An unstable run is recorded as a failed row (nan values, the time of
     the rejected step) and the study continues with the remaining grids.
     """
     grids = spec.grids if grids is None else tuple(grids)
-    t_end = spec.t_final if t_final is None else t_final
     results: dict[str, list[ErrorRecord]] = {}
     for scheme in schemes:
         records = []
         for n in grids:
             setup = assemble(spec, scheme, n, n)
             try:
-                _, record = run_single(setup, t_final=t_end)
+                _, record = run_single(setup, t_final=t_final)
             except InstabilityError as exc:
                 nan = float("nan")
                 record = ErrorRecord(f"{n}x{n}", nan, nan, nan, exc.time, failed=True)

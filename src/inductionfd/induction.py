@@ -79,20 +79,21 @@ class VelocityCoeffs:
     du2dx: np.ndarray
     du2dy: np.ndarray
 
+    def held_speeds(self) -> tuple[np.ndarray, np.ndarray]:
+        """|u1| and |u2| at the values each speed holds (its first entry
+        along each axis of stride 0), not at its broadcast plane."""
+        return tuple(np.abs(a[tuple(slice(None, 1 if s == 0 else None) for s in a.strides)])
+                     for a in (self.lam_x, self.lam_y))
+
     @property
     def max_speed(self) -> float:
         """max over nodes of |u1| + |u2|, the default dissipation strength,
         from the values each speed holds; if no axis varies in both, it is
         max|u1| + max|u2|, exactly, as rounding is monotone."""
-        u1, u2 = (np.abs(_held(lam)) for lam in (self.lam_x, self.lam_y))
+        u1, u2 = self.held_speeds()
         if all(1 in sizes for sizes in zip(u1.shape, u2.shape)):
             return float(u1.max() + u2.max())
         return float(np.max(u1 + u2))
-
-
-def _held(a: np.ndarray) -> np.ndarray:
-    """The values view ``a`` holds: its first entry along each axis of stride 0."""
-    return a[tuple(slice(None, 1 if stride == 0 else None) for stride in a.strides)]
 
 
 def _fewest(name: str, value, grid: Grid2D) -> np.ndarray:

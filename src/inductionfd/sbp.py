@@ -118,20 +118,27 @@ class SbpOperator1D:
         return self.dense_q() / (h * self.p[:, None])
 
 
+def closure_weights(order: int, n: int | None = None) -> np.ndarray:
+    """Norm weights of the order-``order`` top closure, as multiples of h:
+    the one check of an order (2 or 4) and, if ``n`` is given, of a node
+    count, for every operator that shares the SBP norm."""
+    if order not in _MIN_POINTS:
+        raise ValueError(f"unsupported order {order}, expected one of {sorted(_MIN_POINTS)}")
+    if n is not None and n < _MIN_POINTS[order]:
+        raise ValueError(
+            f"order-{order} operator needs at least {_MIN_POINTS[order]} points, got {n}"
+        )
+    return np.array(_P_CLOSURE[order])
+
+
 def build_sbp(order: int, n: int) -> SbpOperator1D:
     """Construct the diagonal-norm SBP derivative operator of given order.
 
     ``order`` is the interior accuracy (2 or 4); the closure rows are one
     order lower at order 2 and two orders lower at order 4, as usual for
-    diagonal-norm operators.
+    diagonal-norm operators.  ``closure_weights`` checks order and n.
     """
-    if order not in _MIN_POINTS:
-        raise ValueError(f"unsupported order {order}, expected one of {sorted(_MIN_POINTS)}")
-    if n < _MIN_POINTS[order]:
-        raise ValueError(
-            f"order-{order} operator needs at least {_MIN_POINTS[order]} points, got {n}"
-        )
-    closure = np.array(_P_CLOSURE[order])
+    closure = closure_weights(order, n)
     p = np.ones(n)
     p[: len(closure)] = closure
     p[n - len(closure) :] = closure[::-1]
@@ -336,35 +343,32 @@ class BandedStencil:
                 (batch(_BLOCK), out_base + start * unit, (strip, *strides))), edges
 
 
-def _apply(op, f: np.ndarray, grid: Grid2D, axis: int, out: np.ndarray | None) -> np.ndarray:
+def _apply(op, f: np.ndarray, grid: Grid2D, axis: int) -> np.ndarray:
     if f.ndim < 2 or f.shape[axis] != grid.shape[axis]:
         raise ValueError(f"field shape {f.shape} does not match grid {grid.shape} on its axis")
     f = np.ascontiguousarray(f, dtype=float)
-    if out is None:
-        out = np.empty(f.shape)
-    elif out.shape != f.shape or not out.flags.c_contiguous:
-        raise ValueError(f"out must be a C-contiguous array of shape {f.shape}")
+    out = np.empty(f.shape)
     fields = (-1,) + f.shape[-2:]
     BandedStencil([(op, 1.0)], axis, grid).apply(f.reshape(fields), out.reshape(fields))
     return out
 
 
-def apply_dx(op, f: np.ndarray, grid: Grid2D, out: np.ndarray | None = None) -> np.ndarray:
+def apply_dx(op, f: np.ndarray, grid: Grid2D) -> np.ndarray:
     """Apply a 1D operator along x to a field (..., npx, m), m any extent.
 
     Leading axes are stacked fields (such as the two components of B),
-    each transformed alike.  The result goes to ``out`` when given.
+    each transformed alike.
     """
-    return _apply(op, f, grid, -2, out)
+    return _apply(op, f, grid, -2)
 
 
-def apply_dy(op, f: np.ndarray, grid: Grid2D, out: np.ndarray | None = None) -> np.ndarray:
+def apply_dy(op, f: np.ndarray, grid: Grid2D) -> np.ndarray:
     """Apply a 1D operator along y to a field (..., m, npy), m any extent.
 
     Leading axes are stacked fields (such as the two components of B),
-    each transformed alike.  The result goes to ``out`` when given.
+    each transformed alike.
     """
-    return _apply(op, f, grid, -1, out)
+    return _apply(op, f, grid, -1)
 
 
 @dataclass(frozen=True)

@@ -8,9 +8,7 @@ from typing import Callable
 import numpy as np
 
 from .grid import Grid2D
-from .induction import VelocityCoeffs, _held
-
-METHODS = ("rk2", "rk4", "ssp32")
+from .induction import VelocityCoeffs
 
 
 class InstabilityError(RuntimeError):
@@ -38,8 +36,7 @@ class IntegratorConfig:
     method: str = "rk2"
 
     def __post_init__(self) -> None:
-        if self.method not in METHODS:
-            raise ValueError(f"unknown method {self.method!r}, expected one of {METHODS}")
+        check_integrator(self.method)
         if not np.isfinite(self.t_final):
             raise ValueError(f"t_final must be finite, got {self.t_final}")
         if not 0 < self.fixed_dt < np.inf:
@@ -55,8 +52,7 @@ def compute_dt(grid: Grid2D, coeffs: VelocityCoeffs, courant: float) -> float:
     taken.  It is not range-checked here; ``SchemeConfig`` validates the
     scheme's cfl.
     """
-    # the maxima of the values each speed holds, not of its broadcast plane
-    u1, u2 = (np.max(np.abs(_held(lam))) for lam in (coeffs.lam_x, coeffs.lam_y))
+    u1, u2 = (np.max(speed) for speed in coeffs.held_speeds())
     denom = u1 / grid.dx + u2 / grid.dy
     if denom == 0.0:
         raise ValueError("velocity vanishes everywhere; no advective step exists")
@@ -97,6 +93,13 @@ def ssp32_step(v: np.ndarray, t: float, dt: float, rhs: Callable) -> np.ndarray:
 
 
 _STEPPERS = {"rk2": rk2_step, "rk4": rk4_step, "ssp32": ssp32_step}
+METHODS = tuple(_STEPPERS)
+
+
+def check_integrator(method: str) -> None:
+    """The one check of an integrator name: one of ``METHODS``, or ValueError."""
+    if method not in _STEPPERS:
+        raise ValueError(f"unknown integrator {method!r}, expected one of {METHODS}")
 
 
 def integrate(

@@ -1,12 +1,14 @@
 """End-to-end tests for the command-line front end."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from inductionfd import Grid2D, MagneticField
 from inductionfd.cli import main, parse_args, write_error_table, write_field_dump
 from inductionfd.diagnostics import ErrorRecord
-from inductionfd.experiments import study_config
+from inductionfd.experiments import SCHEMES, study_config
 
 
 def _read_csv(path):
@@ -121,6 +123,16 @@ class TestParseArgs:
                              "--nx", "5", "--study"])
         assert config.study
         assert config.scheme == study_config("sbp4")
+
+    def test_help_names_each_schemes_integrator_and_cfl(self, capsys, monkeypatch):
+        """The help is built from the registry, so a changed scheme shows."""
+        monkeypatch.setitem(SCHEMES, "sbp1",
+                            replace(SCHEMES["sbp1"], integrator="ssp32", cfl=0.6))
+        assert main(["--help"]) == 0
+        text = " ".join(capsys.readouterr().out.split())
+        for name, scheme in SCHEMES.items():
+            assert f"{name} {scheme.integrator}" in text
+            assert f"{name} {scheme.cfl}" in text
 
     def test_too_small_grid_exits_1_before_writing(self, tmp_path, capsys):
         out = tmp_path / "out"

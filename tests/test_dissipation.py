@@ -159,6 +159,8 @@ def test_upwind_is_accurate_over_h():
         (dict(order=4, scaling="accurate", alpha=-0.1, n=12), "nonnegative"),
         (dict(order=2, scaling="upwind", alpha=1.0, n=2), "at least"),
         (dict(order=4, scaling="upwind", alpha=1.0, n=7), "at least"),
+        (dict(order=2, scaling="upwind", alpha=np.nan, n=12), "finite"),
+        (dict(order=4, scaling="accurate", alpha=np.inf, n=12), "finite"),
     ],
 )
 def test_validation(kwargs, match):

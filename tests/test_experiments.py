@@ -7,7 +7,9 @@ import pytest
 
 from inductionfd import (
     InstabilityError,
+    IntegratorConfig,
     assemble,
+    build_dissipation,
     build_sbp,
     compute_dt,
     discrete_divergence,
@@ -234,6 +236,37 @@ class TestStudyVariants:
     def test_study_spec_leaves_others_alone(self):
         for spec in (experiment2(), experiment3()):
             assert study_spec(spec) is spec
+
+
+_ORDER = "unsupported order 3, expected one of [2, 4]"
+_SIZE = "order-4 operator needs at least 8 points, got 7"
+_INTEGRATOR = "unknown integrator 'euler', expected one of ('rk2', 'rk4', 'ssp32')"
+
+
+@pytest.mark.parametrize("message, call", [
+    pytest.param(_ORDER, lambda: build_sbp(3, 12), id="order-build_sbp"),
+    pytest.param(_ORDER, lambda: build_dissipation(3, "upwind", 1.0, 12),
+                 id="order-build_dissipation"),
+    pytest.param(_ORDER, lambda: SchemeConfig("s", order=3), id="order-SchemeConfig"),
+    pytest.param(_ORDER, lambda: scheme_config("sbp2", order=3), id="order-scheme_config"),
+    pytest.param(_SIZE, lambda: build_sbp(4, 7), id="size-build_sbp"),
+    pytest.param(_SIZE, lambda: build_dissipation(4, "upwind", 1.0, 7),
+                 id="size-build_dissipation"),
+    pytest.param(_SIZE, lambda: assemble(experiment2(), scheme_config("sbp3"), 12, 7),
+                 id="size-assemble"),
+    pytest.param(_INTEGRATOR, lambda: SchemeConfig("s", order=2, integrator="euler"),
+                 id="integrator-SchemeConfig"),
+    pytest.param(_INTEGRATOR, lambda: scheme_config("sbp2", integrator="euler"),
+                 id="integrator-scheme_config"),
+    pytest.param(_INTEGRATOR, lambda: IntegratorConfig(1.0, 0.1, method="euler"),
+                 id="integrator-IntegratorConfig"),
+])
+def test_one_message_per_rule(message, call):
+    """Each input rule has one owner, so every entry point that meets a
+    bad order, too few nodes or an unknown integrator says the same."""
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
 
 
 class TestAssemble:

@@ -189,8 +189,7 @@ class TestGrid:
 @pytest.mark.parametrize("order", [2, 4])
 def test_stacked_apply_matches_per_field(order):
     """Applying to a stack of fields equals applying to each field alone,
-    along both axes, for derivative and dissipation operators; ``out``
-    receives the result."""
+    along both axes, for derivative and dissipation operators."""
     rng = np.random.default_rng(13)
     grid = Grid2D(-1.0, 1.5, 0.0, 2.0, 14, 11)
     stack = rng.normal(size=(3, 2) + grid.shape)
@@ -205,9 +204,6 @@ def test_stacked_apply_matches_per_field(order):
         for index in np.ndindex(stack.shape[:2]):
             np.testing.assert_allclose(got[index], apply(op, stack[index], grid),
                                        rtol=0, atol=1e-13)
-        out = np.full_like(stack, np.nan)
-        assert apply(op, stack, grid, out=out) is out
-        np.testing.assert_array_equal(out, got)
     with pytest.raises(ValueError, match="does not match grid"):
         apply_dx(build_sbp(order, grid.npx), np.zeros((2, 13, 11)), grid)
     with pytest.raises(ValueError, match="does not match grid"):

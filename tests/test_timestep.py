@@ -92,7 +92,7 @@ class TestConfig:
         "kwargs, match",
         [
             pytest.param(dict(t_final=1.0, fixed_dt=0.1, method="euler"),
-                         "unknown method", id="kwargs0-unknown method"),
+                         "unknown integrator", id="kwargs0-unknown method"),
             pytest.param(dict(t_final=1.0, fixed_dt=0.0), "fixed_dt",
                          id="kwargs3-fixed_dt"),
             pytest.param(dict(t_final=1.0, fixed_dt=np.nan), "fixed_dt",
