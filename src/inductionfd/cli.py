@@ -4,13 +4,14 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from .diagnostics import ErrorRecord, convergence_rate, discrete_divergence
 from .experiments import (
+    COURANT_PER_CFL,
     DISSIPATION_MODES,
     EXPERIMENTS,
     SCHEMES,
@@ -32,35 +33,8 @@ _EXAMPLES = """examples:
 """
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated CLI parameters for one invocation.
-
-    ``scheme`` is resolved: the named scheme (its study variant under
-    ``--study``) with the ``--cfl``, ``--integrator``, ``--dissipation``
-    and ``--theta`` overrides applied.
-    """
-
-    experiment: int
-    scheme: SchemeConfig
-    nx: int
-    ny: int
-    t_final: float | None
-    out: Path
-    dump_every: int
-    study: bool
-
-
-class _Parser(argparse.ArgumentParser):
-    """argparse variant that exits with code 1 on usage errors."""
-
-    def error(self, message: str):
-        self.print_usage(sys.stderr)
-        raise SystemExit(f"{self.prog}: error: {message}")
-
-
-def _build_parser() -> _Parser:
-    parser = _Parser(
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
         prog="inductionfd",
         description="SBP-SAT finite difference solver for the 2D magnetic "
         "induction equations",
@@ -71,6 +45,8 @@ def _build_parser() -> _Parser:
     def defaults(attr: str) -> str:
         return "default: the scheme's, " + ", ".join(
             f"{name} {getattr(scheme, attr)}" for name, scheme in SCHEMES.items())
+    factors = ", ".join(f"{factor:g} for {integrator} with dissipation {mode}"
+                        for (integrator, mode), factor in COURANT_PER_CFL.items())
     parser.add_argument("--experiment", type=int, choices=sorted(EXPERIMENTS), required=True,
                         help="benchmark problem to run")
     parser.add_argument("--scheme", choices=sorted(SCHEMES), default="sbp2",
@@ -80,17 +56,14 @@ def _build_parser() -> _Parser:
     parser.add_argument("--ny", type=int, default=100,
                         help="grid points along y (default: %(default)s)")
     parser.add_argument("--cfl", type=float, default=None,
-                        help="CFL number in (0, 1]; rk4 without upwind "
-                        "dissipation and ssp32 with it step at twice it "
-                        f"({defaults('cfl')})")
-    parser.add_argument("--tfinal", type=float, default=None,
-                        help="final time (default: the experiment's)")
+                        help="CFL number in (0, 1]; the step's advective Courant number is "
+                        f"cfl times {factors}, 1 otherwise ({defaults('cfl')})")
+    parser.add_argument("--tfinal", dest="t_final", metavar="TFINAL", type=float,
+                        default=None, help="final time (default: the experiment's)")
     parser.add_argument("--integrator", choices=METHODS, default=None,
                         help=f"time integrator ({defaults('integrator')}); ssp32 "
-                        "is the three-stage SSP RK2.  rk4 doubles the step of a "
-                        "scheme without upwind dissipation, ssp32 that of one "
-                        "with it.  The scheme's cfl is tuned for its own "
-                        "integrator, so another one needs --cfl as well")
+                        "is the three-stage SSP RK2.  The scheme's cfl is tuned "
+                        "for its own integrator, so another one needs --cfl as well")
     parser.add_argument("--dissipation", choices=DISSIPATION_MODES, default=None,
                         help="override the scheme's dissipation mode")
     parser.add_argument("--theta", type=float, default=None,
@@ -105,16 +78,18 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def parse_args(argv) -> RunConfig:
-    """Parse and cross-validate CLI flags into a RunConfig.
+def parse_args(argv) -> argparse.Namespace:
+    """Parse and cross-validate CLI flags.
 
-    The scheme starts from ``--scheme`` (its study variant,
-    ``experiments.study_config``, under ``--study``), and the scheme flags
-    given replace its fields; ``SchemeConfig`` checks them.  An
+    Returns argparse's namespace with ``scheme`` resolved to a
+    ``SchemeConfig``: the named scheme (its study variant,
+    ``experiments.study_config``, under ``--study``) with the scheme flags
+    given replacing its fields; ``SchemeConfig`` checks them.  An
     ``--integrator`` other than the scheme's own needs ``--cfl`` too,
-    because the scheme's cfl is tuned for its own integrator.  Raises
-    SystemExit (caught by main and turned into exit code 1) on unknown
-    flags, invalid values or inconsistent combinations.
+    because the scheme's cfl is tuned for its own integrator.  On unknown
+    flags, invalid values or inconsistent combinations argparse prints the
+    usage and the error and raises SystemExit.  The final time is the
+    library's to check.
     """
     parser = _build_parser()
     ns = parser.parse_args(argv)
@@ -134,23 +109,12 @@ def parse_args(argv) -> RunConfig:
     flags = {"cfl": ns.cfl, "integrator": ns.integrator,
              "dissipation": ns.dissipation, "theta": ns.theta}
     try:
-        scheme = replace(base, **{k: v for k, v in flags.items() if v is not None})
+        ns.scheme = replace(base, **{k: v for k, v in flags.items() if v is not None})
     except ValueError as exc:
         parser.error(str(exc))
-    if ns.tfinal is not None and not 0 <= ns.tfinal < np.inf:
-        parser.error(f"--tfinal must be nonnegative and finite, got {ns.tfinal}")
     if ns.dump_every < 0:
         parser.error(f"--dump-every must be nonnegative, got {ns.dump_every}")
-    return RunConfig(
-        experiment=ns.experiment,
-        scheme=scheme,
-        nx=ns.nx,
-        ny=ns.ny,
-        t_final=ns.tfinal,
-        out=ns.out,
-        dump_every=ns.dump_every,
-        study=ns.study,
-    )
+    return ns
 
 
 def _fmt(value: float) -> str:
@@ -211,15 +175,14 @@ def write_field_dump(field: MagneticField, div: np.ndarray, path, meta: dict) ->
             fh.write(_fmt(x).join(pieces) % tuple(row.tolist()))
 
 
-def _run_study(config: RunConfig) -> int:
+def _run_study(args: argparse.Namespace) -> int:
     # an experiment with zero data is studied with its exact boundary trace
-    spec = study_spec(get_experiment(config.experiment))
-    scheme = config.scheme
-    out = config.out
+    spec = study_spec(get_experiment(args.experiment))
+    scheme = args.scheme
+    out = args.out
+    records = run_convergence_study(spec, [scheme], t_final=args.t_final)[scheme.name]
     out.mkdir(parents=True, exist_ok=True)
-    results = run_convergence_study(spec, [scheme], t_final=config.t_final)
-    records = results[scheme.name]
-    table = out / f"table_exp{config.experiment}_{scheme.name}.csv"
+    table = out / f"table_exp{args.experiment}_{scheme.name}.csv"
     write_error_table(records, table)
     print(f"wrote {table}")
     for rec in records:
@@ -228,62 +191,62 @@ def _run_study(config: RunConfig) -> int:
     return 2 if any(rec.failed for rec in records) else 0
 
 
-def _run_once(config: RunConfig) -> int:
-    scheme = config.scheme
-    try:
-        setup = assemble(get_experiment(config.experiment), scheme, config.nx, config.ny)
-    except ValueError as exc:
-        print(f"inductionfd: error: {exc}", file=sys.stderr)
-        return 1
-    out = config.out
-    out.mkdir(parents=True, exist_ok=True)
+def _run_once(args: argparse.Namespace) -> int:
+    scheme = args.scheme
+    setup = assemble(get_experiment(args.experiment), scheme, args.nx, args.ny)
+    out = args.out
     meta = {
-        "experiment": config.experiment,
+        "experiment": args.experiment,
         "scheme": scheme.name,
-        "grid": f"{config.nx}x{config.ny}",
+        "grid": f"{args.nx}x{args.ny}",
     }
 
     def dump(name: str, t: float, v: np.ndarray) -> None:
         # v is the integrator's accepted state, which it never writes into
         div = discrete_divergence(v, setup.grid, setup.op_x, setup.op_y)
+        out.mkdir(parents=True, exist_ok=True)
         write_field_dump(MagneticField(setup.grid, v), div, out / name, {**meta, "t": _fmt(t)})
 
     def hook(step: int, t: float, v: np.ndarray) -> None:
         dump(f"fields_step{step:06d}.csv", t, v)
 
-    try:
-        field, record = run_single(
-            setup, t_final=config.t_final, hook=hook if config.dump_every > 0 else None,
-            hook_every=max(config.dump_every, 1),
-        )
-    except InstabilityError as exc:
-        print(f"instability: {exc}", file=sys.stderr)
-        return 2
-
+    field, record = run_single(
+        setup, t_final=args.t_final, hook=hook if args.dump_every > 0 else None,
+        hook_every=max(args.dump_every, 1),
+    )
     dump("fields_final.csv", record.time, field.data)
     write_error_table([record], out / "error_table.csv")
     print(
-        f"experiment {config.experiment} {scheme.name} {config.nx}x{config.ny} "
+        f"experiment {args.experiment} {scheme.name} {args.nx}x{args.ny} "
         f"t={record.time:.6g}: error {record.error_percent:.6g}%, div l2 {record.div_l2:.6g}"
     )
     return 0
 
 
 def main(argv=None) -> int:
+    """Run one invocation and return its exit code.
+
+    0: success.  1: a usage error (argparse has printed it), a run the
+    library rejects with a ValueError, or an output file that cannot be
+    written.  2: the run, or any study grid, went unstable.  The output
+    directory is made by the first write, so a rejected run leaves none.
+    """
     try:
-        config = parse_args(sys.argv[1:] if argv is None else argv)
+        args = parse_args(sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:
-        if exc.code not in (0, None):
-            if isinstance(exc.code, str):
-                print(exc.code, file=sys.stderr)
-            return 1
-        return 0
+        return 0 if exc.code in (0, None) else 1
     try:
-        return _run_study(config) if config.study else _run_once(config)
+        return _run_study(args) if args.study else _run_once(args)
+    except InstabilityError as exc:
+        print(f"instability: {exc}", file=sys.stderr)
+        return 2
     except OSError as exc:
         # the runs read no files: this is a failed output write
-        print(f"inductionfd: error: cannot write {exc.filename or config.out}: "
+        print(f"inductionfd: error: cannot write {exc.filename or args.out}: "
               f"{exc.strerror or exc}", file=sys.stderr)
+        return 1
+    except ValueError as exc:
+        print(f"inductionfd: error: {exc}", file=sys.stderr)
         return 1
 
 

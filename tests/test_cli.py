@@ -1,6 +1,10 @@
 """End-to-end tests for the command-line front end."""
 
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +12,9 @@ import pytest
 from inductionfd import Grid2D, MagneticField
 from inductionfd.cli import main, parse_args, write_error_table, write_field_dump
 from inductionfd.diagnostics import ErrorRecord
-from inductionfd.experiments import SCHEMES, study_config
+from inductionfd.experiments import (
+    COURANT_PER_CFL, EXPERIMENTS, SCHEMES, experiment3, study_config,
+)
 
 
 def _read_csv(path):
@@ -91,13 +97,9 @@ class TestParseArgs:
             ["--experiment", "1", "--cfl", "0"],
             ["--experiment", "1", "--cfl", "1.5"],
             ["--experiment", "1", "--theta", "0.2"],
-            ["--experiment", "1", "--tfinal", "-1"],
             ["--experiment", "1", "--dump-every", "-2"],
             ["--experiment", "1", "--study", "--cfl", "1.5"],
             ["--experiment", "1", "--study", "--theta", "0.2"],
-            ["--experiment", "2", "--nx", "20", "--ny", "20", "--tfinal", "nan"],
-            ["--experiment", "2", "--nx", "20", "--ny", "20", "--tfinal", "inf"],
-            ["--experiment", "2", "--study", "--tfinal", "inf"],
             ["--experiment", "2", "--nx", "20", "--ny", "20", "--theta", "nan"],
             ["--experiment", "2", "--nx", "20", "--ny", "20", "--theta", "inf"],
         ],
@@ -134,12 +136,81 @@ class TestParseArgs:
             assert f"{name} {scheme.integrator}" in text
             assert f"{name} {scheme.cfl}" in text
 
+    def test_help_names_each_courant_factor(self, capsys, monkeypatch):
+        """The --cfl help lists ``COURANT_PER_CFL``, so an added entry shows."""
+        monkeypatch.setitem(COURANT_PER_CFL, ("rk2", "accurate"), 1.5)
+        assert main(["--help"]) == 0
+        text = " ".join(capsys.readouterr().out.split())
+        for (integrator, mode), factor in COURANT_PER_CFL.items():
+            assert f"{factor:g} for {integrator} with dissipation {mode}" in text
+        assert "1.5 for rk2 with dissipation accurate" in text
+
     def test_too_small_grid_exits_1_before_writing(self, tmp_path, capsys):
         out = tmp_path / "out"
         assert main(["--experiment", "1", "--scheme", "sbp4", "--nx", "12",
                      "--ny", "7", "--out", str(out)]) == 1
         assert "needs at least 8 points, got 7" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestRejectedRuns:
+    """A run the library rejects with a ValueError exits 1 with the
+    library's message, not a traceback, and makes no output directory."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--experiment", "1", "--tfinal", "-1"], "t_final -1.0 lies before the start time 0.0"),
+        (["--experiment", "2", "--nx", "20", "--ny", "20", "--tfinal", "nan"],
+         "t_final must be finite, got nan"),
+        (["--experiment", "2", "--nx", "20", "--ny", "20", "--tfinal", "inf"],
+         "t_final must be finite, got inf"),
+        (["--experiment", "2", "--study", "--tfinal", "inf"],
+         "t_final must be finite, got inf"),
+    ], ids=["negative", "nan", "inf", "study-inf"])
+    def test_bad_final_time_exits_1(self, argv, message, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)  # the default output directory is ./out
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"inductionfd: error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv", [["--nx", "12", "--ny", "12"], ["--study"]],
+                             ids=["single", "study"])
+    def test_zero_velocity_exits_1(self, argv, capsys, tmp_path, monkeypatch):
+        """``compute_dt`` finds no advective step for a velocity that
+        vanishes everywhere."""
+        monkeypatch.setitem(EXPERIMENTS, 3, lambda: replace(
+            experiment3(), velocity=lambda x, y: (0.0, 0.0)))
+        out = tmp_path / "out"
+        assert main(["--experiment", "3", "--out", str(out), *argv]) == 1
+        assert capsys.readouterr().err.startswith(
+            "inductionfd: error: velocity vanishes everywhere")
+        assert not out.exists()
+
+
+class TestProcess:
+    """``python -m inductionfd.cli`` exits with ``main``'s code."""
+
+    @staticmethod
+    def _run(tmp_path, *argv):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.environ.get("PYTHONPATH")
+        env = {**os.environ, "PYTHONPATH": src if not path else src + os.pathsep + path}
+        return subprocess.run([sys.executable, "-m", "inductionfd.cli", *argv],
+                              cwd=tmp_path, env=env, capture_output=True, text=True,
+                              timeout=60)
+
+    def test_help_exits_0(self, tmp_path):
+        proc = self._run(tmp_path, "--help")
+        assert proc.returncode == 0
+        assert proc.stdout.startswith("usage: inductionfd ")
+
+    def test_usage_error_exits_1(self, tmp_path):
+        proc = self._run(tmp_path, "--experiment", "1", "--cfl", "2")
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        errors = [line for line in proc.stderr.splitlines() if "error:" in line]
+        assert errors == ["inductionfd: error: cfl must lie in (0, 1], got 2.0"]
+        assert proc.stderr.startswith("usage: inductionfd ")
+        assert not (tmp_path / "out").exists()
 
 
 class TestSingleRun:
