@@ -97,9 +97,13 @@ class TestParseArgs:
             ["--experiment", "1", "--cfl", "0"],
             ["--experiment", "1", "--cfl", "1.5"],
             ["--experiment", "1", "--theta", "0.2"],
+            ["--experiment", "1", "--tfinal", "-1"],
             ["--experiment", "1", "--dump-every", "-2"],
             ["--experiment", "1", "--study", "--cfl", "1.5"],
             ["--experiment", "1", "--study", "--theta", "0.2"],
+            ["--experiment", "2", "--nx", "20", "--ny", "20", "--tfinal", "nan"],
+            ["--experiment", "2", "--nx", "20", "--ny", "20", "--tfinal", "inf"],
+            ["--experiment", "2", "--study", "--tfinal", "inf"],
             ["--experiment", "2", "--nx", "20", "--ny", "20", "--theta", "nan"],
             ["--experiment", "2", "--nx", "20", "--ny", "20", "--theta", "inf"],
         ],
