@@ -25,7 +25,9 @@ from .sbp import _frozen, closure_weights
 
 #: stencil scaling c_p = 1/(2p(2p-1)) for the undivided p-th difference
 _STENCIL_COEF = {1: 1.0 / 2.0, 2: 1.0 / 12.0}
-SCALINGS = ("accurate", "upwind")
+#: power of h multiplying the dimensionless tables, by scaling: A's
+#: s(h) P^{-1} is h/h for ``accurate`` and 1/h for ``upwind``
+SCALINGS = {"accurate": 0, "upwind": -1}
 
 
 @dataclass(frozen=True)
@@ -34,13 +36,10 @@ class DissipationOperator1D:
 
     A ``BandedStencil`` reads from it what it reads from an SBP operator:
     the node count ``n``, the dimensionless rows ``top``, ``bot`` and
-    ``interior`` of h^{-h_exponent} * A, and ``h_exponent``, which is 0
-    for ``accurate`` scaling and -1 for ``upwind``.
+    ``interior`` of h^{-h_exponent} * A, and ``h_exponent``, the power
+    of h that ``SCALINGS`` gives the operator's scaling.
     """
 
-    order: int
-    scaling: str
-    alpha: float
     n: int
     top: np.ndarray
     bot: np.ndarray
@@ -73,7 +72,7 @@ def build_dissipation(order: int, scaling: str, alpha: float,
     """
     weights = closure_weights(order, n)
     if scaling not in SCALINGS:
-        raise ValueError(f"unknown scaling {scaling!r}, expected one of {SCALINGS}")
+        raise ValueError(f"unknown scaling {scaling!r}, expected one of {tuple(SCALINGS)}")
     if not 0 <= alpha < np.inf:
         raise ValueError(f"alpha must be nonnegative and finite, got {alpha}")
     p = order // 2
@@ -87,12 +86,9 @@ def build_dissipation(order: int, scaling: str, alpha: float,
     stencil = difference_stencil(p)
     interior = -alpha * _STENCIL_COEF[p] * np.convolve(stencil, stencil[::-1])
     return DissipationOperator1D(
-        order=order,
-        scaling=scaling,
-        alpha=float(alpha),
         n=n,
         top=_frozen(top),
         bot=_frozen(top[::-1, ::-1]),
         interior=_frozen(interior),
-        h_exponent=0 if scaling == "accurate" else -1,
+        h_exponent=SCALINGS[scaling],
     )

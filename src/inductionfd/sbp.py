@@ -72,21 +72,21 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 class SbpOperator1D:
     """First-derivative operator D = P^{-1} Q / h on n uniformly spaced nodes.
 
-    ``p`` holds the n norm weights (multiples of h), ``q_interior`` the
-    interior stencil of Q and ``q_closure`` its explicit top rows.  The
-    derived attributes ``top``, ``bot`` and ``interior`` are the rows of
-    h*D used by the matrix-free apply; ``h_exponent`` is the power of the
-    grid spacing multiplying the dimensionless tables (-1 here).
+    ``p`` holds the n norm weights (multiples of h), ``interior`` the
+    interior row of Q, which is also that of h*D as the norm weight is 1
+    there, and ``q_closure`` the explicit top rows of Q.  The derived
+    ``top`` and ``bot`` are the closure rows of h*D; with ``interior``
+    they are all that the matrix-free apply reads.  ``h_exponent`` is the
+    power of the grid spacing multiplying the dimensionless tables (-1).
     """
 
     order: int
     n: int
     p: np.ndarray
-    q_interior: np.ndarray
+    interior: np.ndarray
     q_closure: np.ndarray
     top: np.ndarray = field(init=False, repr=False, compare=False)
     bot: np.ndarray = field(init=False, repr=False, compare=False)
-    interior: np.ndarray = field(init=False, repr=False, compare=False)
     h_exponent: int = field(default=-1, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -95,27 +95,10 @@ class SbpOperator1D:
         rows = q_closure.shape[0]
         top = q_closure / p[:rows, None]
         object.__setattr__(self, "p", p)
-        object.__setattr__(self, "q_interior", _frozen(self.q_interior))
+        object.__setattr__(self, "interior", _frozen(self.interior))
         object.__setattr__(self, "q_closure", _frozen(q_closure))
         object.__setattr__(self, "top", _frozen(top))
         object.__setattr__(self, "bot", _frozen(-top[::-1, ::-1]))
-        object.__setattr__(self, "interior", _frozen(self.q_interior))
-
-    def dense_q(self) -> np.ndarray:
-        """Dense skew part Q, shape (n, n)."""
-        n = self.n
-        rows, cols = self.q_closure.shape
-        q = np.zeros((n, n))
-        width = (len(self.q_interior) - 1) // 2
-        for i in range(rows, n - rows):
-            q[i, i - width : i + width + 1] = self.q_interior
-        q[:rows, :cols] = self.q_closure
-        q[n - rows :, n - cols :] = -self.q_closure[::-1, ::-1]
-        return q
-
-    def dense_d(self, h: float) -> np.ndarray:
-        """Dense derivative matrix D = P^{-1} Q / h, shape (n, n)."""
-        return self.dense_q() / (h * self.p[:, None])
 
 
 def closure_weights(order: int, n: int | None = None) -> np.ndarray:
@@ -146,7 +129,7 @@ def build_sbp(order: int, n: int) -> SbpOperator1D:
         order=order,
         n=n,
         p=p,
-        q_interior=np.array(_Q_INTERIOR[order]),
+        interior=np.array(_Q_INTERIOR[order]),
         q_closure=np.array(_Q_CLOSURE[order]),
     )
 
@@ -382,25 +365,28 @@ class SbpReport:
 
 
 def verify_sbp(op: SbpOperator1D) -> SbpReport:
-    """Measure the skew-symmetry identity and polynomial exactness of ``op``.
+    """Measure the SBP identity and polynomial exactness of ``op`` as it is
+    applied: D is the banded apply along x of the identity on n nodes of
+    [0, 1] (column j is D e_j), and Q = h P D.
 
-    Returns the max-norm residual of Q + Q^T - diag(-1, 0, ..., 0, 1), the
-    max-norm derivative residuals on monomials of each reproducible degree
-    (over all nodes for closure-exact degrees, over interior nodes for the
-    higher interior-exact degrees), and the smallest norm weight.
+    Returns the max-norm residual of Q + Q^T - diag(-1, 0, ..., 0, 1); the
+    max-norm residuals of D x^k - k x^(k-1) on the nodes x, over all nodes
+    for each degree k up to the closure-exact degree and over the nodes
+    between the closure rows for each degree up to the interior-exact one;
+    and the smallest norm weight.
     """
     n = op.n
-    q = op.dense_q()
+    grid = Grid2D(0.0, 1.0, 0.0, 1.0, n, n)
+    d = apply_dx(op, np.eye(n), grid)
+    q = grid.dx * op.p[:, None] * d
     b = np.zeros((n, n))
     b[0, 0] = -1.0
     b[-1, -1] = 1.0
     qqt = float(np.max(np.abs(q + q.T - b)))
 
-    h = 1.0 / (n - 1)
-    x = np.linspace(0.0, 1.0, n)
-    d = op.dense_d(h)
+    x = grid.x
     deg_all, deg_int = EXACT_DEGREE[op.order]
-    rows = op.q_closure.shape[0]
+    rows = op.top.shape[0]
     exact_all = {}
     exact_interior = {}
     for deg in range(deg_int + 1):
@@ -416,4 +402,3 @@ def verify_sbp(op: SbpOperator1D) -> SbpReport:
         exactness_interior=exact_interior,
         min_norm_weight=float(op.p.min()),
     )
-

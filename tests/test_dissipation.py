@@ -1,5 +1,7 @@
 """Tests for the norm-compatible artificial dissipation operators."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -7,14 +9,7 @@ from inductionfd import Grid2D, apply_dx, apply_dy, build_dissipation, build_sbp
 from inductionfd.dissipation import difference_matrix, difference_stencil
 
 import dense_oracle
-
-
-def dense_dissipation(op, h):
-    """A as a dense (n, n) matrix with spacing h: the banded apply along x
-    of the identity, whose columns are the unit vectors."""
-    n = op.n
-    grid = Grid2D(0.0, h * (n - 1), 0.0, 1.0, n, n)
-    return apply_dx(op, np.eye(n), grid)
+from applied import applied_matrix
 
 
 def _case(order, *rest):
@@ -64,7 +59,7 @@ def test_matches_dense_oracle(order, width, scaling):
     n, h, alpha = 14, 0.05, 1.3
     op = build_dissipation(order, scaling, alpha, n)
     assert len(op.interior) == 2 * width + 1
-    got = dense_dissipation(op, h)
+    got = applied_matrix(op, h)
     want = dense_oracle.dense_dissipation(order, scaling, alpha, n, h)
     np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-16)
 
@@ -75,7 +70,7 @@ def test_negative_semidefinite(order, scaling):
     """P A must only remove energy: all eigenvalues of sym(P A) <= 0."""
     n, h = 16, 1.0 / 15.0
     op = build_dissipation(order, scaling, 2.0, n)
-    a = dense_dissipation(op, h)
+    a = applied_matrix(op, h)
     pa = np.diag(h * build_sbp(order, n).p) @ a
     np.testing.assert_allclose(pa, pa.T, atol=1e-14)
     eigs = np.linalg.eigvalsh(0.5 * (pa + pa.T))
@@ -87,7 +82,7 @@ def test_annihilates_low_degree_polynomials(order):
     """A kills polynomials of degree < order/2 exactly (no spurious forcing)."""
     n = 18
     op = build_dissipation(order, "upwind", 1.0, n)
-    a = dense_dissipation(op, 0.1)
+    a = applied_matrix(op, 0.1)
     x = np.linspace(-1.0, 1.0, n)
     for k in range(order // 2):
         np.testing.assert_allclose(a @ x**k, 0.0, atol=1e-11)
@@ -109,7 +104,7 @@ def test_consistency_order(order, scaling, expected_rate):
         h = 1.0 / (n - 1)
         x = np.linspace(0.0, 1.0, n)
         op = build_dissipation(order, scaling, 1.0, n)
-        a = dense_dissipation(op, h)
+        a = applied_matrix(op, h)
         rows = op.top.shape[0]
         errs.append(np.abs(a @ np.sin(2.0 * x))[rows:-rows].max())
     rate = np.log2(errs[0] / errs[1])
@@ -122,7 +117,7 @@ def test_energy_identity():
     n, h, alpha = 15, 0.07, 0.9
     for order, coef in ((2, 0.5), (4, 1.0 / 12.0)):
         op = build_dissipation(order, "accurate", alpha, n)
-        a = dense_dissipation(op, h)
+        a = applied_matrix(op, h)
         p = np.diag(h * build_sbp(order, n).p)
         w = rng.standard_normal(n)
         dw = difference_matrix(n, order // 2) @ w
@@ -146,7 +141,7 @@ def test_upwind_is_accurate_over_h():
     up = build_dissipation(4, "upwind", 1.0, 13)
     h = 0.25
     np.testing.assert_allclose(
-        dense_dissipation(up, h) * h, dense_dissipation(acc, h), rtol=1e-15
+        applied_matrix(up, h) * h, applied_matrix(acc, h), rtol=1e-15
     )
 
 
@@ -161,6 +156,10 @@ def test_upwind_is_accurate_over_h():
         (dict(order=4, scaling="upwind", alpha=1.0, n=7), "at least"),
         (dict(order=2, scaling="upwind", alpha=np.nan, n=12), "finite"),
         (dict(order=4, scaling="accurate", alpha=np.inf, n=12), "finite"),
+        pytest.param(dict(order=2, scaling="downwind", alpha=1.0, n=12),
+                     "^" + re.escape("unknown scaling 'downwind', expected one of "
+                                     "('accurate', 'upwind')") + "$",
+                     id="exact-scaling-message"),
     ],
 )
 def test_validation(kwargs, match):

@@ -16,15 +16,18 @@ from inductionfd import (
 )
 from inductionfd.sbp import _MIN_POINTS, EXACT_DEGREE, BandedStencil
 
+from applied import applied_matrix
 from dense_oracle import dense_d, dense_dissipation, dense_p, dense_q
 
 
 @pytest.mark.parametrize("order", [2, 4])
 @pytest.mark.parametrize("n", [8, 21, 50])
 def test_sbp_identity(order, n):
-    """Q + Q^T must equal diag(-1, 0, ..., 0, 1) to round-off."""
+    """Q = h P D of the applied D satisfies Q + Q^T = diag(-1, 0, ..., 0, 1)
+    to round-off."""
     op = build_sbp(order, n)
-    q = op.dense_q()
+    h = 1.0 / (n - 1)
+    q = h * op.p[:, None] * applied_matrix(op, h)
     b = np.zeros((n, n))
     b[0, 0], b[-1, -1] = -1.0, 1.0
     np.testing.assert_allclose(q + q.T, b, atol=1e-14)
@@ -40,11 +43,12 @@ def test_norm_positive(order, n):
 @pytest.mark.parametrize("order", [2, 4])
 @pytest.mark.parametrize("n", [9, 32])
 def test_polynomial_exactness(order, n):
-    """D reproduces monomial derivatives at the documented degrees."""
+    """The applied D reproduces monomial derivatives at the documented
+    degrees."""
     op = build_sbp(order, n)
     h = 1.0 / (n - 1)
     x = np.linspace(0.0, 1.0, n)
-    d = op.dense_d(h)
+    d = applied_matrix(op, h)
     deg_all, deg_interior = EXACT_DEGREE[order]
     rows = op.top.shape[0]
     for k in range(deg_interior + 1):
@@ -60,16 +64,17 @@ def test_polynomial_exactness(order, n):
 @pytest.mark.parametrize("order", [2, 4])
 def test_constant_derivative_zero(order):
     op = build_sbp(order, 17)
-    np.testing.assert_allclose(op.dense_d(0.1) @ np.ones(17), 0.0, atol=1e-12)
+    np.testing.assert_allclose(applied_matrix(op, 0.1) @ np.ones(17), 0.0, atol=1e-12)
 
 
 def test_closure_error_second_order():
-    """Order-4 closure rows differentiate x^3 with an O(h^2) defect."""
+    """Order-4 closure rows of the applied D differentiate x^3 with an
+    O(h^2) defect."""
     errs = []
     for n in (41, 81):
         op = build_sbp(4, n)
         x = np.linspace(0.0, 1.0, n)
-        d = op.dense_d(x[1] - x[0]) @ x**3 - 3.0 * x**2
+        d = applied_matrix(op, x[1] - x[0]) @ x**3 - 3.0 * x**2
         rows = op.top.shape[0]
         np.testing.assert_allclose(d[rows:-rows], 0.0, atol=1e-12)
         errs.append(np.abs(d).max())
@@ -79,13 +84,15 @@ def test_closure_error_second_order():
 
 @pytest.mark.parametrize("order,n", [(2, 11), (2, 30), (4, 11), (4, 30)])
 def test_dense_matches_oracle(order, n):
-    """Package coefficient tables equal the independently written ones."""
+    """The norm weights, and the applied D and its Q = h P D, equal the
+    independently written dense matrices."""
     op = build_sbp(order, n)
     h = 0.37
+    d = applied_matrix(op, h)
     np.testing.assert_allclose(np.diag(h * op.p), dense_p(order, n, h),
                                atol=1e-15)
-    np.testing.assert_allclose(op.dense_q(), dense_q(order, n), atol=1e-15)
-    np.testing.assert_allclose(op.dense_d(h), dense_d(order, n, h), atol=1e-12)
+    np.testing.assert_allclose(h * op.p[:, None] * d, dense_q(order, n), atol=1e-15)
+    np.testing.assert_allclose(d, dense_d(order, n, h), atol=1e-12)
 
 
 #: grid shapes per order whose interior lengths (n minus both closures)
@@ -155,9 +162,20 @@ def test_verify_sbp_flags_perturbation():
     bad = np.array(op.q_closure)
     bad[1, 2] += 1e-3
     perturbed = SbpOperator1D(order=4, n=24, p=np.array(op.p),
-                              q_interior=np.array(op.q_interior),
+                              interior=np.array(op.interior),
                               q_closure=bad)
     assert verify_sbp(perturbed).qqt_residual > 1e-4
+
+
+@pytest.mark.parametrize("table", ["bot", "top"])
+def test_verify_sbp_checks_the_applied_tables(table):
+    """A corrupted closure table of the apply shows up in the report even
+    though ``q_closure``, from which the table was derived, is intact."""
+    op = build_sbp(4, 24)
+    bad = np.array(getattr(op, table))
+    bad[1, 2] += 1e-3
+    object.__setattr__(op, table, bad)
+    assert verify_sbp(op).qqt_residual > 1e-4
 
 
 class TestGrid:
