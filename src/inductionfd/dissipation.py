@@ -30,7 +30,7 @@ _STENCIL_COEF = {1: 1.0 / 2.0, 2: 1.0 / 12.0}
 SCALINGS = {"accurate": 0, "upwind": -1}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DissipationOperator1D:
     """Banded dissipation operator A, applied like the SBP operators.
 

@@ -68,7 +68,7 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SbpOperator1D:
     """First-derivative operator D = P^{-1} Q / h on n uniformly spaced nodes.
 
@@ -85,9 +85,9 @@ class SbpOperator1D:
     p: np.ndarray
     interior: np.ndarray
     q_closure: np.ndarray
-    top: np.ndarray = field(init=False, repr=False, compare=False)
-    bot: np.ndarray = field(init=False, repr=False, compare=False)
-    h_exponent: int = field(default=-1, init=False, repr=False, compare=False)
+    top: np.ndarray = field(init=False, repr=False)
+    bot: np.ndarray = field(init=False, repr=False)
+    h_exponent: int = field(default=-1, init=False, repr=False)
 
     def __post_init__(self) -> None:
         p = _frozen(self.p)

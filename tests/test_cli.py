@@ -9,12 +9,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from inductionfd import Grid2D, MagneticField
-from inductionfd.cli import main, parse_args, write_error_table, write_field_dump
+from inductionfd import Grid2D, MagneticField, cli
+from inductionfd.cli import (
+    _format_values, main, parse_args, write_error_table, write_field_dump,
+)
 from inductionfd.diagnostics import ErrorRecord
 from inductionfd.experiments import (
     COURANT_PER_CFL, EXPERIMENTS, SCHEMES, experiment3, study_config,
 )
+
+from reference_dump import reference_dump
 
 
 def _read_csv(path):
@@ -284,11 +288,33 @@ class TestSingleRun:
         assert len(dumps) >= 2  # the initial state plus at least the final step
         meta = (dumps[0].with_suffix(".csv.meta")).read_text()
         assert "t=0" in meta
-        # the last periodic dump is the final state, written by the same routine
+        # the last periodic dump is the final state, and fields_final its copy
         final = tmp_path / "fields_final.csv"
         assert dumps[-1].read_bytes() == final.read_bytes()
         assert (dumps[-1].with_suffix(".csv.meta").read_bytes()
                 == final.with_suffix(".csv.meta").read_bytes())
+
+    @pytest.mark.parametrize("argv", [[], ["--dump-every", "5"]], ids=["final", "periodic"])
+    def test_final_state_is_formatted_once(self, tmp_path, monkeypatch, argv):
+        """One ``write_field_dump`` call per dump the hook makes and none
+        more for ``fields_final.csv``, which copies the last of them; with
+        no periodic dumps, the final state is formatted once."""
+        written = []
+
+        def counting(field, div, path, meta):
+            written.append(Path(path).name)
+            write_field_dump(field, div, path, meta)
+
+        monkeypatch.setattr(cli, "write_field_dump", counting)
+        assert main(["--experiment", "3", "--scheme", "sbp1", "--nx", "12", "--ny", "12",
+                     "--tfinal", "0.05", "--out", str(tmp_path), *argv]) == 0
+        steps = sorted(path.name for path in tmp_path.glob("fields_step*.csv"))
+        assert written == (steps if argv else ["fields_final.csv"])
+        if argv:
+            assert len(steps) >= 2
+            for suffix in ("", ".meta"):
+                assert ((tmp_path / f"{steps[-1]}{suffix}").read_bytes()
+                        == (tmp_path / f"fields_final.csv{suffix}").read_bytes())
 
     def test_instability_exits_2(self, tmp_path, capsys):
         with np.errstate(over="ignore"):
@@ -342,7 +368,8 @@ class TestFailedWrites:
         ("fields_final.csv", []),
         ("error_table.csv", []),
         ("table_exp3_sbp1.csv", ["--study"]),
-    ], ids=["dump", "fields-final", "error-table", "study-table"])
+        ("fields_final.csv", ["--dump-every", "5"]),
+    ], ids=["dump", "fields-final", "error-table", "study-table", "fields-final-copy"])
     def test_directory_at_target_exits_1(self, tmp_path, capsys, target, argv):
         (tmp_path / target).mkdir()
         code = main(["--experiment", "3", "--scheme", "sbp1", "--nx", "12", "--ny", "12",
@@ -360,20 +387,9 @@ class TestFailedWrites:
 
 
 class TestWriteFieldDump:
-    @staticmethod
-    def _per_node(x, y, data, mag, div, meta):
-        """CSV and sidecar as a node-by-node writer formats them."""
-        lines = ["x,y,B1,B2,Bmag,divP\n"]
-        for i in range(len(x)):
-            for j in range(len(y)):
-                lines.append(
-                    f"{x[i]:.6g},{y[j]:.6g},{data[0, i, j]:.6g},{data[1, i, j]:.6g},"
-                    f"{mag[i, j]:.6g},{div[i, j]:.6g}\n"
-                )
-        meta_line = "# " + " ".join(f"{k}={v}" for k, v in meta.items()) + "\n"
-        return "".join(lines), meta_line
-
-    @pytest.mark.parametrize("npx, npy", [(13, 7), (2, 31)])
+    # blocks of whole rows (cli._DUMP_NODES): one block; more, the last one
+    # partial; a row each, shorter and longer than a block
+    @pytest.mark.parametrize("npx, npy", [(13, 7), (2, 31), (60, 50), (3, 1500), (2, 2100)])
     def test_matches_per_node_writer(self, tmp_path, npx, npy):
         rng = np.random.default_rng(npx + npy)
         grid = Grid2D(-1.0, 0.3, 1e-7, 2.0, npx, npy)
@@ -387,10 +403,67 @@ class TestWriteFieldDump:
         meta = {"experiment": 3, "scheme": "sbp1", "t": "0.5"}
         path = tmp_path / "dump.csv"
         write_field_dump(field, div, path, meta)
-        csv, sidecar = self._per_node(grid.x, grid.y, data, field.magnitude(), div, meta)
-        assert path.read_text() == csv
+        csv, sidecar = reference_dump(grid.x, grid.y, data, field.magnitude(), div, meta)
+        got, want = path.read_text().split("\n"), csv.split("\n")
+        assert len(got) == len(want)
+        assert [(g, w) for g, w in zip(got, want) if g != w][:5] == []
         assert (tmp_path / "dump.csv.meta").read_text() == sidecar
         assert "-0," in csv and "4.94066e-324" in csv
+
+
+class TestFormatValues:
+    """The bulk formatter prints every value as ``format(v, ".6g")`` does."""
+
+    @staticmethod
+    def _fallbacks(values):
+        """Format ``values`` in bulk, check every one against ``format``,
+        and return the mask of those that took the fallback."""
+        values = np.asarray(values, dtype=float)
+        words = np.empty(values.shape + (3,), np.uint64)
+        keep = np.empty_like(words)
+        fallback = _format_values(values, words, keep)
+        text = np.compress(keep.view(bool).ravel(), words.view(np.uint8).ravel())
+        got = text.tobytes().decode().split(",")[1:]
+        want = [format(v, ".6g") for v in values.tolist()]
+        assert len(got) == len(want)
+        wrong = [(v, g, w) for v, g, w in zip(values.tolist(), got, want) if g != w]
+        assert not wrong, f"{len(wrong)} values misprinted, first {wrong[:5]}"
+        return fallback
+
+    def test_random_bit_patterns(self):
+        rng = np.random.default_rng(24)
+        self._fallbacks(rng.integers(0, 2**64, 200_000, dtype=np.uint64).view(float))
+
+    def test_power_of_ten_boundaries(self):
+        """10**k, and the values that round up to it, within 3 ulps."""
+        edges = np.array([float(f"{m}e{k}") for k in range(-300, 301)
+                          for m in ("1", "0.9999995", "9.999995")])
+        near = (edges.view(np.int64)[:, None] + np.arange(-3, 4)).view(float)
+        self._fallbacks(np.concatenate([near.ravel(), -near.ravel()]))
+
+    def test_exact_ties_fall_back(self):
+        m = np.random.default_rng(5).integers(100_000, 1_000_000, 20_000)
+        ties = np.concatenate([(10 * m + 5) * 10.0 ** (m % 9), m + 0.5, -(m + 0.5)])
+        assert self._fallbacks(ties).all()
+
+    def test_usual_values_take_the_fast_path(self):
+        rng = np.random.default_rng(7)
+        values = rng.standard_normal(100_000) * 10.0 ** rng.integers(-280, 280, 100_000)
+        assert not self._fallbacks(values).any()
+
+    @pytest.mark.parametrize("bias", [-1e-5, 1e-5])
+    def test_exponent_one_off_still_exact(self, monkeypatch, bias):
+        """Where log10 puts e one off, next to a power of ten, the value
+        falls back or rounds to the same digits."""
+        log10 = np.log10
+        monkeypatch.setattr(np, "log10", lambda x: log10(x) + bias)
+        near = 10.0 ** np.arange(-280, 281)[:, None] * (1 + np.linspace(-2e-5, 2e-5, 41))
+        self._fallbacks(near.ravel())
+
+    def test_special_values(self):
+        big = sys.float_info.max
+        values = [0.0, -0.0, 5e-324, -5e-324, big, -big, np.inf, -np.inf, np.nan, 1e-5, 1e16]
+        assert self._fallbacks(values).tolist() == [False, False] + [True] * 7 + [False] * 2
 
 
 class TestStudyRun:

@@ -145,6 +145,17 @@ def test_unsupported_order():
         build_sbp(3, 20)
 
 
+@pytest.mark.parametrize("build", [lambda: build_sbp(2, 8),
+                                   lambda: build_dissipation(2, "accurate", 1.0, 8)],
+                         ids=["sbp", "dissipation"])
+def test_operators_compare_and_hash_by_identity(build):
+    """Comparing array fields would raise; an operator is equal to itself
+    only, and hashable."""
+    a, b = build(), build()
+    assert a == a and a != b
+    assert len({a: 1, b: 2}) == 2
+
+
 @pytest.mark.parametrize("order", [2, 4])
 def test_verify_sbp_clean(order):
     report = verify_sbp(build_sbp(order, 24))
