@@ -359,7 +359,7 @@ def _run_once(args: argparse.Namespace) -> int:
     }
 
     def dump(name: str, t: float, v: np.ndarray) -> None:
-        # v is the integrator's accepted state, which it never writes into
+        # a hook's v is valid only during its call; the dump is written before it returns
         div = discrete_divergence(v, setup.grid, setup.op_x, setup.op_y)
         out.mkdir(parents=True, exist_ok=True)
         write_field_dump(MagneticField(setup.grid, v), div, out / name, {**meta, "t": _fmt(t)})

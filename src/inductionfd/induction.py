@@ -310,9 +310,14 @@ class InductionRhs:
     of a constant velocity are.  Every term applied gives the bits it
     gives alone; full arrays are applied term by term.
 
-    Every call returns a fresh array, because the RK stages hold several
-    results at once.  The scratch buffer and the memo belong to the
-    object, so one object must not be called from two threads at once.
+    Called as ``rhs(t, v, out)``, it writes the tendency into ``out`` and
+    returns it: ``out`` is a C-contiguous float64 array of the state's
+    shape that shares no memory with ``v``, else ValueError (the operand
+    rule of ``BandedStencil.apply``), and its old values are never read.
+    ``integrate`` passes the stage registers it reuses over a whole run.
+    Without ``out``, every call returns a fresh array.  The scratch
+    buffer and the memo belong to the object, so one object must not be
+    called from two threads at once.
     """
 
     def __init__(
@@ -375,14 +380,21 @@ class InductionRhs:
             self._t = t
         return self._g
 
-    def __call__(self, t: float, v: np.ndarray) -> np.ndarray:
+    def __call__(self, t: float, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         if v.shape != self.shape:
             raise ValueError(f"state must have shape {self.shape}, got {v.shape}")
+        if out is None:
+            out = np.empty(self.shape)
+        elif not (out.dtype == np.float64 and out.flags.c_contiguous
+                  and out.shape == self.shape) or np.may_share_memory(out, v):
+            raise ValueError(f"out must be a C-contiguous float64 array of shape "
+                             f"{self.shape} that shares no memory with the state; got "
+                             f"{out.dtype} of strides {out.strides} and shape {out.shape}")
         v = np.ascontiguousarray(v, dtype=float)
-        rhs, swapped = np.empty(self.shape), v[::-1]
+        swapped = v[::-1]
         for node, w, lam_x, lam_y, sub, add in self._strips:
             part = v[node[0]]
-            r = self._dx.apply(part, rhs[node], node[1])
+            r = self._dx.apply(part, out[node], node[1])
             if lam_x is not None:
                 r *= lam_x
             self._dy.apply(part, w, node[1])
@@ -404,9 +416,9 @@ class InductionRhs:
         g = self.boundary_data(t)
         if g is not None:
             vx, vy = vx - g[0], vy - g[1]
-        rhs[:, ::sx, :] += self._coef_x * vx
-        rhs[:, :, ::sy] += self._coef_y * vy
-        return rhs
+        out[:, ::sx, :] += self._coef_x * vx
+        out[:, :, ::sy] += self._coef_y * vy
+        return out
 
 
 def compute_rhs(

@@ -463,8 +463,9 @@ def _counting_exp2_rhs(npx=10, npy=12):
 
 
 class TestAssembledRhs:
-    """One InductionRhs object per run: fresh results, a boundary memo that
-    never goes stale, and the same values as the one-shot compute_rhs."""
+    """One InductionRhs object per run: fresh results or ones written into
+    a caller's buffer, a boundary memo that never goes stale, and the same
+    values as the one-shot compute_rhs."""
 
     def test_results_are_fresh_arrays(self):
         setup, rhs, _ = _counting_exp2_rhs()
@@ -476,6 +477,32 @@ class TestAssembledRhs:
         assert second is not first and not np.shares_memory(first, second)
         np.testing.assert_array_equal(first, kept)
         np.testing.assert_array_equal(rhs(0.1, va), kept)
+
+    @pytest.mark.parametrize("experiment, scheme, n", [
+        (experiment2(), study_config("sbp4"), 20),
+        (experiment3(), scheme_config("sbp1"), 20),
+        (experiment1(), scheme_config("sbp3"), 320),  # cut into strips
+    ])
+    def test_out_is_written_and_returned(self, experiment, scheme, n):
+        """``rhs(t, v, out=o)`` returns ``o`` holding the bits of the fresh
+        result, whatever ``o`` held before."""
+        setup = assemble(experiment, scheme, n, n)
+        v = np.random.default_rng(n).standard_normal(setup.v0.data.shape)
+        out = np.full(v.shape, np.nan)
+        assert setup.rhs(0.3, v, out=out) is out
+        assert out.tobytes() == setup.rhs(0.3, v).tobytes()
+
+    def test_bad_out_rejected(self):
+        """The operand rule of ``BandedStencil.apply``: an ``out`` that is
+        the state, of another shape, or not a C-contiguous float64 array
+        raises ValueError."""
+        setup = assemble(experiment3(), scheme_config("sbp1"), 12, 12)
+        v = np.random.default_rng(2).standard_normal(setup.v0.data.shape)
+        block = np.empty((2,) + v.shape)
+        for out in (v, np.empty((2, 12, 13)), np.empty(v.shape, order="F"),
+                    np.empty(v.shape, dtype=np.float32), block[:, 0], block[0][:, ::-1]):
+            with pytest.raises(ValueError, match="out must be"):
+                setup.rhs(0.3, v, out=out)
 
     def test_one_rk4_step_samples_at_most_three_times(self):
         setup, rhs, times = _counting_exp2_rhs()

@@ -8,6 +8,7 @@ import pytest
 from inductionfd import (
     BoundaryData,
     Grid2D,
+    InductionRhs,
     InstabilityError,
     IntegratorConfig,
     assemble,
@@ -16,6 +17,7 @@ from inductionfd import (
     compute_dt,
     compute_rhs,
     experiment1,
+    experiment2,
     experiment3,
     integrate,
     make_sat_config,
@@ -25,7 +27,10 @@ from inductionfd import (
     sample_velocity,
     scheme_config,
     ssp32_step,
+    study_config,
+    study_spec,
 )
+from inductionfd.timestep import METHODS
 
 import dense_oracle
 
@@ -41,6 +46,25 @@ def _expm_apply(m, t, v0):
     """exp(m t) v0 via eigendecomposition (m is small and diagonalizable)."""
     lam, s = np.linalg.eig(m)
     return (s @ (np.exp(lam * t) * np.linalg.solve(s, v0))).real
+
+
+def _fresh_step(method, v, t, dt, rhs):
+    """One step of ``method`` in its formula's fresh-array expressions."""
+    if method == "rk2":
+        k1 = rhs(t, v)
+        k2 = rhs(t + dt, v + dt * k1)
+        return v + (0.5 * dt) * (k1 + k2)
+    if method == "rk4":
+        k1 = rhs(t, v)
+        k2 = rhs(t + 0.5 * dt, v + (0.5 * dt) * k1)
+        k3 = rhs(t + 0.5 * dt, v + (0.5 * dt) * k2)
+        k4 = rhs(t + dt, v + dt * k3)
+        return v + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    h = 0.5 * dt
+    u = v + h * rhs(t, v)
+    u += h * rhs(t + h, u)
+    u += h * rhs(t + dt, u)
+    return (v + 2.0 * u) / 3.0
 
 
 class TestComputeDt:
@@ -171,6 +195,54 @@ class TestSteppers:
         assert abs(rate - expected_order) < 0.3
 
 
+class TestRegisters:
+    """``integrate`` steps in three registers it reuses for the whole run,
+    with the bits of each method's formula on fresh arrays."""
+
+    @pytest.mark.parametrize("plain", [False, True], ids=["rhs", "lambda"])
+    @pytest.mark.parametrize("spec, scheme", [
+        pytest.param(study_spec(experiment2()), study_config("sbp4"), id="exp2-sbp4"),
+        pytest.param(experiment3(), scheme_config("sbp1"), id="exp3-sbp1"),
+    ])
+    @pytest.mark.parametrize("method", METHODS)
+    def test_steps_equal_fresh_array_formulas_bitwise(self, method, spec, scheme, plain):
+        """12 steps of ``integrate`` on a 20² run, with the run's
+        ``InductionRhs`` and with a plain callable around it, give byte for
+        byte the state of the same steps in fresh-array expressions; a
+        stage update or combination in another order changes the bytes."""
+        setup = assemble(spec, scheme, 20, 20)
+        dt = compute_dt(setup.grid, setup.coeffs, setup.scheme.courant)
+        rhs = (lambda t, v: setup.rhs(t, v)) if plain else setup.rhs
+        got, steps = integrate(setup.v0.data, IntegratorConfig(12 * dt, dt, method), rhs)
+        want = setup.v0.data
+        for k in range(12):
+            want = _fresh_step(method, want, k * dt, (k + 1) * dt - k * dt, setup.rhs)
+        assert steps == 12
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_rhs_writes_into_at_most_three_buffers(self, monkeypatch, method):
+        """Over 20 steps every RHS call writes into a buffer it is handed,
+        of at most three, none of them the caller's ``v0``."""
+        setup = assemble(experiment3(), scheme_config("sbp1"), 20, 20)
+        outs = []
+        call = InductionRhs.__call__
+
+        def spy(self, t, v, out=None):
+            assert out is not None
+            outs.append(out.__array_interface__["data"][0])
+            return call(self, t, v, out)
+
+        monkeypatch.setattr(InductionRhs, "__call__", spy)
+        v0 = setup.v0.data
+        dt = compute_dt(setup.grid, setup.coeffs, setup.scheme.courant)
+        _, steps = integrate(v0, IntegratorConfig(20 * dt, dt, method), setup.rhs)
+        assert steps == 20
+        assert len(outs) == 20 * {"rk2": 2, "rk4": 4, "ssp32": 3}[method]
+        assert len(set(outs)) <= 3
+        assert v0.__array_interface__["data"][0] not in outs
+
+
 class TestIntegrate:
     def test_matches_matrix_exponential(self):
         """CFL-free path: fixed_dt integration tracks the exact propagator."""
@@ -236,28 +308,55 @@ class TestIntegrate:
 
     def test_instability_reports_step_and_last_state(self):
         v0 = np.array([1.0])
-        for t0 in (0.0, 4.0 * np.pi):
-            config = IntegratorConfig(t_final=t0 + 10.0, fixed_dt=1.0)
-            with pytest.raises(InstabilityError) as excinfo, np.errstate(over="ignore"):
-                integrate(v0, config, lambda t, v: v * 1e160, t0=t0)
-            err = excinfo.value
-            assert err.step == 1
-            assert err.time == t0
-            np.testing.assert_array_equal(err.last_state, v0)
+        for method in METHODS:
+            for t0 in (0.0, 4.0 * np.pi):
+                config = IntegratorConfig(t_final=t0 + 10.0, fixed_dt=1.0, method=method)
+                with pytest.raises(InstabilityError) as excinfo, \
+                        np.errstate(over="ignore", invalid="ignore"):
+                    integrate(v0, config, lambda t, v: v * 1e160, t0=t0)
+                err = excinfo.value
+                assert err.step == 1
+                assert err.time == t0
+                np.testing.assert_array_equal(err.last_state, v0)
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_late_instability_keeps_the_last_hook_state(self, method):
+        """dV/dt = V under an energy limit between those of steps 4 and 5:
+        step 5 is rejected, and ``last_state`` is bitwise the state the
+        hook was handed at step 4 and copied, so the registers the steps
+        rotate through never write into the last accepted state."""
+        v0 = np.random.default_rng(5).standard_normal((2, 4, 3))
+        config = IntegratorConfig(t_final=4.0, fixed_dt=0.5, method=method)
+        energies = []
+        integrate(v0, config, lambda t, v: v,
+                  hook=lambda k, t, v: energies.append(np.vdot(v, v)))
+        seen = []
+        with pytest.raises(InstabilityError) as excinfo:
+            integrate(v0, config, lambda t, v: v, hook=lambda k, t, v: seen.append(v.copy()),
+                      energy_bound=(1.0, 0.5 * (energies[4] + energies[5])))
+        err = excinfo.value
+        assert (err.step, err.time) == (5, 2.0)
+        assert len(seen) == 5
+        assert err.last_state.tobytes() == seen[4].tobytes()
 
     def test_stage_overflow_becomes_instability(self):
         """A step whose stages overflow is an instability of the run,
-        reported with its step, time and last accepted state."""
+        reported with its step, time and last accepted state: bitwise the
+        state the hook was handed, and copied, one step earlier."""
         setup = assemble(experiment3(), scheme_config("sbp1"), 40, 40)
-        config = IntegratorConfig(t_final=50.0, fixed_dt=0.05)
-        with pytest.raises(InstabilityError) as excinfo, \
-                np.errstate(over="ignore", invalid="ignore"):
-            integrate(setup.v0.data, config, setup.rhs)
-        err = excinfo.value
-        assert err.step is not None and err.step >= 1
-        assert err.time == pytest.approx((err.step - 1) * 0.05)
-        assert err.last_state.shape == (2, 40, 40)
-        assert np.isfinite(err.last_state).all()
+        for method in METHODS:
+            config = IntegratorConfig(t_final=50.0, fixed_dt=0.05, method=method)
+            seen = []
+            with pytest.raises(InstabilityError) as excinfo, \
+                    np.errstate(over="ignore", invalid="ignore"):
+                integrate(setup.v0.data, config, setup.rhs,
+                          hook=lambda k, t, v: seen.append(v.copy()))
+            err = excinfo.value
+            assert err.step is not None and err.step >= 4
+            assert err.time == pytest.approx((err.step - 1) * 0.05)
+            assert len(seen) == err.step
+            assert err.last_state.tobytes() == seen[-1].tobytes()
+            assert np.isfinite(err.last_state).all()
 
     def test_energy_bound_rejects_first_step_above_limit(self):
         """dV/dt = V grows by r = 1 + dt + dt^2/2 per Heun step, so the
