@@ -32,11 +32,17 @@ def p_energy(v: np.ndarray, grid: Grid2D, op_x: SbpOperator1D, op_y: SbpOperator
     """Discrete energy ||V||^2 in the P norm, summed over both components.
 
     Computes V^T (I_2 x P_x x P_y) V with the weights of :func:`p_weights`,
-    the energy that ``integrate`` bounds after every step of a run.
+    the energy that ``integrate`` bounds after every step of a run.  The
+    squares of both components are added per node, weighted, and summed
+    by numpy's pairwise ``np.sum``, so the value does not depend on the
+    BLAS thread count, as ``np.vdot``'s does.
     """
     if v.shape != (2, grid.npx, grid.npy):
         raise ValueError(f"state must have shape (2, {grid.npx}, {grid.npy}), got {v.shape}")
-    return float(np.vdot(v, p_weights(grid, op_x, op_y) * v))
+    squares = np.square(v)
+    plane = np.add(squares[0], squares[1], out=squares[0])
+    plane *= p_weights(grid, op_x, op_y)
+    return float(np.sum(plane))
 
 
 def discrete_divergence(

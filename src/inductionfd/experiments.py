@@ -184,7 +184,9 @@ class ExperimentSpec:
     ``velocity`` (X, Y) -> (u1, u2), ``initial`` (X, Y) -> (B1, B2) and
     ``exact`` (X, Y, t) -> (B1, B2) are elementwise: they are called on the
     open mesh X = x[:, None], Y = y[None, :], ``exact`` also on 1-D side
-    coordinates, and each component may be any value that broadcasts.
+    coordinates with t one time or a column (T, 1) of times broadcast
+    against them (``BoundaryData``), and each component may be any value
+    that broadcasts.
     ``boundary`` is the Dirichlet data: a callable like ``exact``, or None
     for zero data (``BoundaryData`` rejects anything else).
     """

@@ -18,7 +18,8 @@ makes the semi-discrete scheme energy-stable.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from itertools import islice
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -184,10 +185,13 @@ def make_sat_config(
 class BoundaryData:
     """Dirichlet data for the four sides of the domain.
 
-    ``exact`` is None for zero data, or a callable (X, Y, t) -> (B1, B2)
-    sampled on the boundary nodes, in the layout of :class:`SatConfig`:
-    the x sides as (2, npy) and the y sides as (npx, 2), concatenated so
-    that one call samples all four sides.
+    ``exact`` is None for zero data, or an elementwise callable
+    (X, Y, t) -> (B1, B2) sampled on the boundary nodes, in the layout of
+    :class:`SatConfig`: the x sides as (2, npy) and the y sides as
+    (npx, 2), concatenated so that one call samples all four sides.  X and
+    Y are the 1-D side coordinates; t is one time, or a column (T, 1) of
+    times that broadcasts against them, so that one call samples the
+    sides at T times.
     """
 
     grid: Grid2D
@@ -216,22 +220,29 @@ class BoundaryData:
             raise ValueError("exact boundary data needs an exact-solution callable")
         return cls(grid, exact)
 
-    def all_sides(self, t: float) -> tuple[np.ndarray, np.ndarray] | None:
+    def all_sides(self, t: float | np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
         """Data on all four sides at time t as read-only (g_x, g_y).
 
         ``g_x`` of shape (2, 2, npy) matches ``V[:, ::npx-1, :]`` and
-        ``g_y`` of shape (2, npx, 2) matches ``V[:, :, ::npy-1]``.  Zero
-        data returns None and evaluates nothing.
+        ``g_y`` of shape (2, npx, 2) matches ``V[:, :, ::npy-1]``.  For a
+        1-D array of T times, ``exact`` is called once with t as a column
+        (T, 1), and each array gains a leading axis of the T times: row k
+        holds the bits of the call at ``t[k]`` alone, as an elementwise
+        callable computes every element alike.  Zero data returns None
+        and evaluates nothing.
         """
         if self.exact is None:
             return None
         side_x, side_y = self._coords
-        g = np.empty((2, side_x.size))
-        g[0], g[1] = self.exact(side_x, side_y, t)
+        times = np.shape(t)
+        g = np.empty(times + (2, side_x.size))
+        g[..., 0, :], g[..., 1, :] = self.exact(
+            side_x, side_y, np.asarray(t)[:, None] if times else t)
         g.setflags(write=False)
         npx, npy = self.grid.shape
         split = 2 * npy
-        return g[:, :split].reshape(2, 2, npy), g[:, split:].reshape(2, npx, 2)
+        return (g[..., :split].reshape(times + (2, 2, npy)),
+                g[..., split:].reshape(times + (2, npx, 2)))
 
 
 #: about the most nodes of one component in one strip of the RHS, the unit
@@ -247,6 +258,19 @@ class BoundaryData:
 #: up to a block of rows more.  Chosen by sweeps of 20 480 to 81 920 on the
 #: rotation, the last with its speeds at their rank (CHANGES.md).
 STRIP_NODES = 40_960
+
+#: the most stage times that ``InductionRhs.boundary_data`` samples in one
+#: call of the exact boundary data, from the times ``integrate`` hands
+#: over; the block's rows stay in the memo until a time outside it is
+#: asked for, so memory stays bounded on long runs.  Swept on exp2-study's
+#: job (8 runs, 1 BLAS thread, 12 interleaved rounds, median ms) at 1 / 8
+#: / 16 / 32 / 64 times: 211.2 / 190.6 / 189.5 / 192.9 / 194.3; on exp3's
+#: ``sbp1`` run at 160^2 (10 rounds) at 1 / 8 / 16 / 32: 235.5 / 226.8 /
+#: 226.1 / 227.8: 16 was the fastest on both.  In three paired 12-s
+#: ``perfbench`` runs of exp2-study, 8 against 16 read ``wall_s`` 1-3 %
+#: slower in each and ``peak_rss_mb`` 0.26-0.39 MiB lower, 16 within
+#: 0.08 MiB of sampling one time per call.
+BOUNDARY_BLOCK = 16
 
 
 def _strips(npx: int, npy: int, cuts: Sequence[int]) -> list[tuple]:
@@ -291,10 +315,13 @@ class InductionRhs:
     strip writes the x derivative straight into its rows of the result
     and every other term into its own contiguous view of the scratch
     buffer, which thus stays in cache from strip to strip.  The exact
-    boundary data is sampled only when t differs from the last time it
-    was sampled, a one-entry memo: RK4's two middle stages share a time,
-    and a step's last stage time is the next step's first.  Zero boundary
-    data samples nothing.
+    boundary data is sampled only at a time the memo does not hold (see
+    ``boundary_data``): ``integrate`` hands over the stage times of its
+    run (``expect_times``), and a miss at the next of them samples it and
+    the ``BOUNDARY_BLOCK`` - 1 after it in one call; RK4's two middle
+    stages share a time, and a step's last stage time is the next step's
+    first, so each is sampled once.  A call at any other time samples
+    that time alone.  Zero boundary data samples nothing.
 
     The coefficients are applied at the rank their strides give, with no
     pass over their values (``VelocityCoeffs``).  An axis whose speed is
@@ -354,9 +381,8 @@ class InductionRhs:
                                                        (coeffs.du1dy, coeffs.du2dx)))
         self._coef_x, self._coef_y = sat.coef_x, sat.coef_y
         self._edge_steps = (grid.npx - 1, grid.npy - 1)
-        self._sample = bdata.all_sides
-        self._t = None
-        self._g = None
+        self._sample = None if bdata.exact is None else bdata.all_sides
+        self.expect_times(())
         state = np.broadcast_to(0.0, self.shape)
         strips = [(node, state[node]) for node in _strips(*shape, self._dx.cuts)]
         self._scratch = np.empty(max(part.size for _, part in strips))
@@ -372,13 +398,35 @@ class InductionRhs:
             for node, part in strips
         ]
 
+    def expect_times(self, times: Iterable[float]) -> None:
+        """Hand over the distinct times, in the order of the calls to come,
+        at which the RHS will next be called: ``integrate`` hands over
+        every stage time of its run, lazily.  A miss of the boundary memo
+        at the next of them samples it and the ``BOUNDARY_BLOCK`` - 1
+        after it in one call.  The memo is emptied, so that a time it
+        holds from an earlier run, such as the start of a run that goes on
+        from the last one's end, cannot leave the plan behind."""
+        self._memo = {}
+        self._plan = iter(times)
+        self._next = next(self._plan, None)
+
     def boundary_data(self, t: float) -> tuple[np.ndarray, np.ndarray] | None:
-        """``BoundaryData.all_sides(t)``, sampled only when t is not the
-        time of the previous sample."""
-        if t != self._t:
-            self._g = self._sample(t)
-            self._t = t
-        return self._g
+        """``BoundaryData.all_sides(t)``, sampled only when t is not a time
+        of the last sample: at the next expected time, a block of up to
+        ``BOUNDARY_BLOCK`` expected times in one call, whose rows hold the
+        bits of the call at each time alone; at any other time, t alone.
+        Zero data samples nothing."""
+        g = self._memo.get(t)
+        if g is None and self._sample is not None:
+            self._memo = {}  # the old block is freed before the new one is made
+            if t == self._next:
+                times = [t, *islice(self._plan, BOUNDARY_BLOCK - 1)]
+                self._next = next(self._plan, None)
+                self._memo = dict(zip(times, zip(*self._sample(np.array(times)))))
+            else:
+                self._memo = {t: self._sample(t)}
+            g = self._memo[t]
+        return g
 
     def __call__(self, t: float, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         if v.shape != self.shape:

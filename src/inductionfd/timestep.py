@@ -82,6 +82,21 @@ def _operands(v: np.ndarray, rhs: Callable, registers: list | None) -> tuple:
     return rhs, registers
 
 
+#: per method, the times of a step's RHS calls from t over dt, in call order
+_STAGE_TIMES = {
+    "rk2": lambda t, dt: (t, t + dt),
+    "rk4": lambda t, dt: (t, t + 0.5 * dt, t + 0.5 * dt, t + dt),
+    "ssp32": lambda t, dt: (t, t + 0.5 * dt, t + dt),
+}
+
+
+def stage_times(method: str, t: float, dt: float) -> tuple[float, ...]:
+    """The times at which one step of ``method`` from t of length dt calls
+    its RHS, in call order: each stepper takes its times from here, and so
+    does the plan of a run that :func:`integrate` hands to the RHS."""
+    return _STAGE_TIMES[method](t, dt)
+
+
 # Each stepper takes ``rhs(t, v, out)`` and three state-sized ``registers``
 # it may overwrite, as ``integrate`` passes them, or any ``rhs(t, v)`` and
 # no registers.  It never writes into ``v``, and it returns the new state,
@@ -97,10 +112,11 @@ def rk2_step(v: np.ndarray, t: float, dt: float, rhs: Callable,
     """One step of Heun's method (explicit trapezoid); stages at t and t + dt,
     result v + (dt/2)(k1 + k2)."""
     rhs, (a, b, c) = _operands(v, rhs, registers)
-    k1 = rhs(t, v, a)
+    t1, t2 = stage_times("rk2", t, dt)
+    k1 = rhs(t1, v, a)
     u = np.multiply(k1, dt, out=b)  # v + dt k1
     u += v
-    k2 = rhs(t + dt, u, c)
+    k2 = rhs(t2, u, c)
     k2 += k1
     k2 *= 0.5 * dt
     k2 += v
@@ -113,20 +129,21 @@ def rk4_step(v: np.ndarray, t: float, dt: float, rhs: Callable,
     v + (dt/6)(k1 + 2 k2 + 2 k3 + k4), the sum formed from the left as
     the stages come."""
     rhs, (a, b, c) = _operands(v, rhs, registers)
+    t1, t2, t3, t4 = stage_times("rk4", t, dt)
     h = 0.5 * dt
-    k1 = rhs(t, v, a)
+    k1 = rhs(t1, v, a)
     u = np.multiply(k1, h, out=b)  # v + h k1
     u += v
-    k2 = rhs(t + h, u, c)
+    k2 = rhs(t2, u, c)
     total = np.multiply(k2, 2.0, out=b)  # k1 + 2 k2
     total += k1
     k2 *= h  # v + h k2
     k2 += v
-    k3 = rhs(t + h, k2, a)
+    k3 = rhs(t3, k2, a)
     total += np.multiply(k3, 2.0, out=c)
     k3 *= dt  # v + dt k3
     k3 += v
-    k4 = rhs(t + dt, k3, c)
+    k4 = rhs(t4, k3, c)
     total += k4
     total *= dt / 6.0
     total += v
@@ -145,14 +162,15 @@ def ssp32_step(v: np.ndarray, t: float, dt: float, rhs: Callable,
     spectrum fills: three stages buy twice RK2's step.
     """
     rhs, (a, b, _) = _operands(v, rhs, registers)
+    t1, t2, t3 = stage_times("ssp32", t, dt)
     h = 0.5 * dt
-    u = rhs(t, v, a)  # v + h k1
+    u = rhs(t1, v, a)  # v + h k1
     u *= h
     u += v
-    w = rhs(t + h, u, b)  # u + h k2
+    w = rhs(t2, u, b)  # u + h k2
     w *= h
     w += u
-    u = rhs(t + dt, w, a)  # w + h k3
+    u = rhs(t3, w, a)  # w + h k3
     u *= h
     u += w
     u *= 2.0  # (v + 2 u) / 3
@@ -169,6 +187,29 @@ def check_integrator(method: str) -> None:
     """The one check of an integrator name: one of ``METHODS``, or ValueError."""
     if method not in _STEPPERS:
         raise ValueError(f"unknown integrator {method!r}, expected one of {METHODS}")
+
+
+def _steps(t0: float, t_final: float, dt: float, n_steps: int):
+    """(start, end) of each of the ``n_steps`` steps of a run: step k runs
+    from t_k = t0 + k*dt to t_{k+1}, the last one to ``t_final``."""
+    t = t0
+    for k in range(n_steps):
+        t_next = t_final if k == n_steps - 1 else t0 + (k + 1) * dt
+        yield t, t_next
+        t = t_next
+
+
+def _run_stage_times(method: str, steps):
+    """The distinct stage times of the (start, end) ``steps`` of a run, in
+    call order: :func:`stage_times` of each step, less a time equal to the
+    one before it (RK4's second middle stage, and a step's first stage
+    where it is the previous step's last)."""
+    last = None
+    for t, t_next in steps:
+        for s in stage_times(method, t, t_next - t):
+            if s != last:
+                yield s
+                last = s
 
 
 def integrate(
@@ -196,7 +237,9 @@ def integrate(
     register that holds the new state takes the old state's array in its
     place.  ``rhs`` is called as ``rhs(t, v, out)`` if it is an
     :class:`InductionRhs`; any other ``rhs(t, v)`` has its result copied
-    into the register.
+    into the register.  An :class:`InductionRhs` is also handed the run's
+    stage times (``InductionRhs.expect_times``), generated as the steps
+    take them, so that it samples its boundary data in blocks of them.
 
     This is the one place that decides a run has blown up.  After every
     step, with ``energy_bound = (weights, limit)``, the new state v has the
@@ -223,10 +266,11 @@ def integrate(
     registers = [np.empty(v.shape) for _ in range(3)]
 
     n_steps = max(1, int(np.ceil((config.t_final - t0) / dt - 1e-12)))
-    t = t0
-    for k in range(n_steps):
+    if isinstance(rhs, InductionRhs):
+        plan = _steps(t0, config.t_final, dt, n_steps)
+        rhs.expect_times(_run_stage_times(config.method, plan))
+    for k, (t, t_next) in enumerate(_steps(t0, config.t_final, dt, n_steps)):
         last = k == n_steps - 1
-        t_next = config.t_final if last else t0 + (k + 1) * dt
         v_new = stepper(v, t, t_next - t, rhs, registers)
         free = next(r for r in registers if r is not v_new)
         energy = np.vdot(v_new, np.multiply(weights, v_new, out=free))
@@ -239,7 +283,6 @@ def integrate(
                 step=k + 1, time=t, last_state=v)
         registers = [v if r is v_new else r for r in registers]
         v = v_new
-        t = t_next
         if hook is not None and ((k + 1) % hook_every == 0 or last):
-            hook(k + 1, t, v)
+            hook(k + 1, t_next, v)
     return v, n_steps

@@ -1,8 +1,10 @@
-"""Print one SHA-256 digest of the assembled RHS and of the 1D applies.
+"""Print SHA-256 digests of the assembled RHS and of the 1D applies: one
+per grid, then one of every case, the last line.
 
 A change meant to keep every bit of the spatial operator should leave
-this digest as it was; run the script in a checkout of each commit and
-compare the two lines:
+these digests as they were; run the script in a checkout of each commit
+and compare the outputs (a change that moves bits only on some grids
+shows which):
 
     PYTHONPATH=src python tests/rhs_digest.py
 
@@ -37,24 +39,37 @@ SCHEMES = [scheme_config(name) for name in ("sbp1", "sbp2", "sbp3", "sbp4")]
 SCHEMES.append(study_config("sbp4"))
 
 
-def digest() -> str:
-    sha = hashlib.sha256()
+def grid_bytes(npx: int, npy: int):
+    """The bytes of every case on one grid, in digest order."""
+    v = np.random.default_rng(npx * npy).standard_normal((2, npx, npy))
+    for experiment in (1, 2, 3):
+        for scheme in SCHEMES:
+            setup = assemble(get_experiment(experiment), scheme, npx, npy)
+            for t in (0.3, 0.7):
+                yield setup.rhs(t, v).tobytes()
+    grid = get_experiment(1).make_grid(npx, npy)
+    for order in (2, 4):
+        for build in (lambda n: build_sbp(order, n),
+                      lambda n: build_dissipation(order, "accurate", 1.5, n),
+                      lambda n: build_dissipation(order, "upwind", 1.5, n)):
+            yield apply_dx(build(npx), v, grid).tobytes()
+            yield apply_dy(build(npy), v, grid).tobytes()
+
+
+def digests() -> tuple[dict, str]:
+    """({grid label: digest of that grid's cases}, digest of all cases)."""
+    total, per_grid = hashlib.sha256(), {}
     for npx, npy in GRIDS:
-        v = np.random.default_rng(npx * npy).standard_normal((2, npx, npy))
-        for experiment in (1, 2, 3):
-            for scheme in SCHEMES:
-                setup = assemble(get_experiment(experiment), scheme, npx, npy)
-                for t in (0.3, 0.7):
-                    sha.update(setup.rhs(t, v).tobytes())
-        grid = get_experiment(1).make_grid(npx, npy)
-        for order in (2, 4):
-            for build in (lambda n: build_sbp(order, n),
-                          lambda n: build_dissipation(order, "accurate", 1.5, n),
-                          lambda n: build_dissipation(order, "upwind", 1.5, n)):
-                sha.update(apply_dx(build(npx), v, grid).tobytes())
-                sha.update(apply_dy(build(npy), v, grid).tobytes())
-    return sha.hexdigest()
+        sha = hashlib.sha256()
+        for data in grid_bytes(npx, npy):
+            sha.update(data)
+            total.update(data)
+        per_grid[f"{npx}x{npy}"] = sha.hexdigest()
+    return per_grid, total.hexdigest()
 
 
 if __name__ == "__main__":
-    print(digest())
+    per_grid, total = digests()
+    for label, digest in per_grid.items():
+        print(f"{label} {digest}")
+    print(total)

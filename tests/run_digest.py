@@ -1,9 +1,11 @@
-"""Print one SHA-256 digest of the final states and error records of the
-benchmark's solver runs.
+"""Print SHA-256 digests of the final states and error records of the
+benchmark's solver runs: one per run, labelled with its experiment,
+scheme and grid, then one of all runs, the last line.
 
 A change meant to keep every bit of the time integration should leave
-this digest as it was; run the script in a checkout of each commit and
-compare the two lines:
+these digests as they were; run the script in a checkout of each commit
+and compare the outputs (a change that moves bits only on some grids
+shows which):
 
     PYTHONPATH=src python tests/run_digest.py
 
@@ -42,14 +44,21 @@ RUNS += [(experiment1(), scheme_config("sbp3"), 320, math.pi / 16),
          (experiment3(), scheme_config("sbp1"), 160, None)]
 
 
-def digest() -> str:
-    sha = hashlib.sha256()
+def digests() -> tuple[dict, str]:
+    """({run label: digest of that run}, digest of all runs)."""
+    total, per_run = hashlib.sha256(), {}
     for spec, scheme, n, t_final in RUNS:
         field, record = run_single(assemble(spec, scheme, n, n), t_final=t_final)
-        sha.update(field.data.tobytes())
-        sha.update(repr(record).encode())
-    return sha.hexdigest()
+        sha = hashlib.sha256()
+        for data in (field.data.tobytes(), repr(record).encode()):
+            sha.update(data)
+            total.update(data)
+        per_run[f"exp{spec.id} {scheme.name} {n}x{n}"] = sha.hexdigest()
+    return per_run, total.hexdigest()
 
 
 if __name__ == "__main__":
-    print(digest())
+    per_run, total = digests()
+    for label, digest in per_run.items():
+        print(f"{label} {digest}")
+    print(total)

@@ -10,10 +10,9 @@ import numpy as np
 import pytest
 
 from inductionfd import Grid2D, MagneticField, cli
-from inductionfd.cli import (
-    _format_values, main, parse_args, write_error_table, write_field_dump,
-)
+from inductionfd.cli import main, parse_args, write_error_table, write_field_dump
 from inductionfd.diagnostics import ErrorRecord
+from inductionfd.dumpformat import _format_values
 from inductionfd.experiments import (
     COURANT_PER_CFL, EXPERIMENTS, SCHEMES, experiment3, study_config,
 )
@@ -387,7 +386,7 @@ class TestFailedWrites:
 
 
 class TestWriteFieldDump:
-    # blocks of whole rows (cli._DUMP_NODES): one block; more, the last one
+    # blocks of whole rows (dumpformat._DUMP_NODES): one block; more, the last one
     # partial; a row each, shorter and longer than a block
     @pytest.mark.parametrize("npx, npy", [(13, 7), (2, 31), (60, 50), (3, 1500), (2, 2100)])
     def test_matches_per_node_writer(self, tmp_path, npx, npy):
@@ -409,6 +408,18 @@ class TestWriteFieldDump:
         assert [(g, w) for g, w in zip(got, want) if g != w][:5] == []
         assert (tmp_path / "dump.csv.meta").read_text() == sidecar
         assert "-0," in csv and "4.94066e-324" in csv
+
+    def test_formatter_loaded_by_the_first_dump_only(self):
+        """Importing the CLI leaves the bulk formatter unloaded, so a
+        process that writes no dump does not compile it."""
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.environ.get("PYTHONPATH")
+        env = {**os.environ, "PYTHONPATH": src if not path else src + os.pathsep + path}
+        code = ("import sys, inductionfd.cli; "
+                "print('inductionfd.dumpformat' in sys.modules)")
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=60)
+        assert proc.stdout.strip() == "False", proc.stderr
 
 
 class TestFormatValues:

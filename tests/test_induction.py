@@ -201,6 +201,23 @@ class TestBoundaryTrace:
         np.testing.assert_array_equal(g_x, np.stack(exact(xx[::5, :], yy[::5, :], 0.0)))
         np.testing.assert_array_equal(g_y, np.stack(exact(xx[:, ::4], yy[:, ::4], 0.0)))
 
+    @pytest.mark.parametrize("shape", [(10, 10), (41, 37), (160, 160)])
+    @pytest.mark.parametrize("spec", [experiment1(), experiment2(), experiment3()],
+                             ids=["exp1", "exp2", "exp3"])
+    def test_block_rows_equal_single_time_calls(self, spec, shape):
+        """Sampled at an array of times in one call, each row of the sides'
+        data holds the bits of the call at its time alone."""
+        grid = spec.make_grid(*shape)
+        bdata = BoundaryData(grid, spec.exact)
+        times = 0.3 + 0.0137 * np.arange(induction.BOUNDARY_BLOCK)
+        g_x, g_y = bdata.all_sides(times)
+        assert g_x.shape == (len(times), 2, 2, shape[1])
+        assert g_y.shape == (len(times), 2, shape[0], 2)
+        assert not g_x.flags.writeable and not g_y.flags.writeable
+        for k, t in enumerate(times.tolist()):
+            one_x, one_y = bdata.all_sides(t)
+            assert g_x[k].tobytes() == one_x.tobytes() and g_y[k].tobytes() == one_y.tobytes()
+
     def test_mode_validation(self):
         """The data is zero (None) or an exact-solution callable; anything
         else, and ``from_exact`` without a callable, is rejected."""
@@ -447,14 +464,18 @@ class TestFusedRhs:
         assert InductionRhs(grid, coeffs, bdata, sat, op_x, op_y).boundary_data(0.5) is None
 
 
-def _counting_exp2_rhs(npx=10, npy=12):
-    """An experiment 2 run whose exact boundary callable records its times."""
+def _counting_exp2_rhs(npx=10, npy=12, calls=None):
+    """An experiment 2 run whose exact boundary callable records the times
+    it samples, one entry per time, whether one call samples one time or a
+    column of them; ``calls``, if given, gets the times of each call."""
     setup = assemble(experiment2(), study_config("sbp4"), npx, npy)
     pieces = run_pieces(setup)
     times = []
 
     def exact(x, y, t):
-        times.append(t)
+        times.extend(np.ravel(t).tolist())
+        if calls is not None:
+            calls.append(np.ravel(t).tolist())
         return setup.spec.exact(x, y, t)
 
     rhs = InductionRhs(setup.grid, pieces.coeffs, BoundaryData.from_exact(setup.grid, exact),
@@ -527,6 +548,62 @@ class TestAssembledRhs:
         v, steps = integrate(setup.v0.data, config, rhs, t0=0.1)
         assert steps >= 5 and np.isfinite(v).all()
         assert len(times) == len(set(times)) == 2 * steps + 1
+
+    def test_expected_times_are_sampled_in_blocks(self):
+        """A miss at the next expected time samples it and the following
+        expected times in one call, at most ``BOUNDARY_BLOCK``; a time off
+        the plan is sampled alone, leaves the plan where it was, and is
+        correct.  Every row equals the data sampled at its time alone."""
+        calls = []
+        setup, rhs, times = _counting_exp2_rhs(calls=calls)
+        bdata = BoundaryData(setup.grid, setup.spec.exact)
+        block = induction.BOUNDARY_BLOCK
+        plan = [0.1 + 0.01 * k for k in range(block + 3)]
+        rhs.expect_times(iter(plan))
+        off = rhs.boundary_data(0.105)
+        assert calls == [[0.105]]
+        first = rhs.boundary_data(plan[0])
+        assert calls[1:] == [plan[:block]]
+        for t in plan[:block]:
+            g = rhs.boundary_data(t)
+            assert [a.tobytes() for a in g] == [a.tobytes() for a in bdata.all_sides(t)]
+        assert len(calls) == 2 and rhs.boundary_data(plan[0]) is first
+        rhs.boundary_data(plan[block])
+        assert calls[2:] == [plan[block:]]
+        assert [a.tobytes() for a in off] == [a.tobytes() for a in bdata.all_sides(0.105)]
+
+    @pytest.mark.parametrize("method, courant", [("rk2", 0.4), ("rk4", 0.9), ("ssp32", 1.4)])
+    def test_integrate_samples_blocks_of_its_stage_times(self, monkeypatch, method, courant):
+        """``integrate`` hands its stage times over: every sample is a
+        block of at most ``BOUNDARY_BLOCK`` of them, each time sampled once,
+        and the run is bitwise the one that samples every time alone."""
+        calls = []
+        setup, rhs, times = _counting_exp2_rhs(calls=calls)
+        config = IntegratorConfig(t_final=1.6, method=method,
+                                  fixed_dt=compute_dt(setup.grid, setup.coeffs, courant))
+        v, steps = integrate(setup.v0.data, config, rhs, t0=0.1)
+        distinct = (1 if method == "rk2" else 2) * steps + 1
+        block = induction.BOUNDARY_BLOCK
+        assert distinct > 2 * block
+        assert len(times) == len(set(times)) == distinct
+        assert [len(c) for c in calls] == [block] * (distinct // block) + (
+            [distinct % block] if distinct % block else [])
+        monkeypatch.setattr(induction, "BOUNDARY_BLOCK", 1)
+        alone, _ = integrate(setup.v0.data, config, _counting_exp2_rhs()[1], t0=0.1)
+        assert v.tobytes() == alone.tobytes()
+
+    def test_a_run_from_the_last_ones_end_samples_in_blocks(self):
+        """A second run on the same RHS that starts where the first ended,
+        a time the memo still holds, samples its stage times in blocks too."""
+        calls = []
+        setup, rhs, times = _counting_exp2_rhs(calls=calls)
+        integrate(setup.v0.data, IntegratorConfig(t_final=0.3, method="rk4", fixed_dt=0.01),
+                  rhs, t0=0.1)
+        first = len(calls)
+        config = IntegratorConfig(t_final=0.5, method="rk4", fixed_dt=0.01)
+        _, steps = integrate(setup.v0.data, config, rhs, t0=0.3)
+        block = induction.BOUNDARY_BLOCK
+        assert [len(c) for c in calls[first:]] == [block, block, 2 * steps + 1 - 2 * block]
 
     def test_memo_is_never_stale(self):
         setup, rhs, times = _counting_exp2_rhs()

@@ -30,7 +30,8 @@ from inductionfd import (
     study_config,
     study_spec,
 )
-from inductionfd.timestep import METHODS
+from inductionfd import timestep
+from inductionfd.timestep import METHODS, stage_times
 
 import dense_oracle
 
@@ -241,6 +242,48 @@ class TestRegisters:
         assert len(outs) == 20 * {"rk2": 2, "rk4": 4, "ssp32": 3}[method]
         assert len(set(outs)) <= 3
         assert v0.__array_interface__["data"][0] not in outs
+
+
+class TestStageTimes:
+    """One helper gives a step's stage times, to the steppers and to the
+    plan that ``integrate`` hands to an ``InductionRhs``."""
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_steppers_call_the_rhs_at_stage_times(self, method):
+        seen = []
+
+        def rhs(t, v):
+            seen.append(t)
+            return -v
+
+        timestep._STEPPERS[method](np.ones((2, 3, 3)), 0.3, 0.07, rhs)
+        assert seen == list(stage_times(method, 0.3, 0.07))
+        assert seen[0] == 0.3 and seen[-1] == 0.3 + 0.07
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_plan_is_the_distinct_call_times_of_the_run(self, monkeypatch, method):
+        """The times handed to the RHS are the times it is called at, in
+        order, less a time equal to the one before it; the last is
+        ``t_final``."""
+        setup = assemble(study_spec(experiment2()), study_config("sbp4"), 10, 10)
+        plans, seen = [], []
+        expect, call = InductionRhs.expect_times, InductionRhs.__call__
+
+        def spy_expect(self, times):
+            plans.append(times := list(times))
+            expect(self, times)
+
+        def spy_call(self, t, v, out=None):
+            seen.append(t)
+            return call(self, t, v, out)
+
+        monkeypatch.setattr(InductionRhs, "expect_times", spy_expect)
+        monkeypatch.setattr(InductionRhs, "__call__", spy_call)
+        config = IntegratorConfig(t_final=0.5, fixed_dt=0.03, method=method)
+        _, steps = integrate(setup.v0.data, config, setup.rhs, t0=0.1)
+        distinct = [t for k, t in enumerate(seen) if k == 0 or t != seen[k - 1]]
+        assert plans == [distinct] and distinct[-1] == 0.5
+        assert len(distinct) == (1 if method == "rk2" else 2) * steps + 1
 
 
 class TestIntegrate:
