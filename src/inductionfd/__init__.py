@@ -51,9 +51,6 @@ from .timestep import (
     IntegratorConfig,
     compute_dt,
     integrate,
-    rk2_step,
-    rk4_step,
-    ssp32_step,
 )
 
 __version__ = "0.1.0"
@@ -92,15 +89,12 @@ __all__ = [
     "make_sat_config",
     "p_energy",
     "rel_percent_error",
-    "rk2_step",
-    "rk4_step",
     "run_convergence_study",
     "run_long_time",
     "run_single",
     "sample_velocity",
     "sat_sigma",
     "scheme_config",
-    "ssp32_step",
     "study_config",
     "study_spec",
     "verify_sbp",

@@ -59,29 +59,6 @@ def compute_dt(grid: Grid2D, coeffs: VelocityCoeffs, courant: float) -> float:
     return courant / float(denom)
 
 
-def _writer(rhs: Callable) -> Callable:
-    """``rhs`` as a callable ``rhs(t, v, out)`` that writes the tendency
-    into ``out`` and returns it: an :class:`InductionRhs` is one already;
-    any other ``rhs(t, v)`` is wrapped to copy its result into ``out``."""
-    if isinstance(rhs, InductionRhs):
-        return rhs
-
-    def write(t: float, v: np.ndarray, out: np.ndarray) -> np.ndarray:
-        np.copyto(out, rhs(t, v))
-        return out
-
-    return write
-
-
-def _operands(v: np.ndarray, rhs: Callable, registers: list | None) -> tuple:
-    """(rhs, registers) of one step: as :func:`integrate` passes them, or,
-    for a call with the first four arguments alone, ``rhs`` through
-    :func:`_writer` and three fresh registers."""
-    if registers is None:
-        return _writer(rhs), [np.empty(np.shape(v)) for _ in range(3)]
-    return rhs, registers
-
-
 #: per method, the times of a step's RHS calls from t over dt, in call order
 _STAGE_TIMES = {
     "rk2": lambda t, dt: (t, t + dt),
@@ -97,10 +74,10 @@ def stage_times(method: str, t: float, dt: float) -> tuple[float, ...]:
     return _STAGE_TIMES[method](t, dt)
 
 
-# Each stepper takes ``rhs(t, v, out)`` and three state-sized ``registers``
-# it may overwrite, as ``integrate`` passes them, or any ``rhs(t, v)`` and
-# no registers.  It never writes into ``v``, and it returns the new state,
-# in one of the registers.  Every stage tendency is written into a
+# Each stepper is one step of ``integrate``, which alone calls it, with
+# ``rhs(t, v, out)`` and the run's three state-sized ``registers``, which
+# it may overwrite.  It never writes into ``v``, and it returns the new
+# state, in one of the registers.  Every stage tendency is written into a
 # register, and every stage value and the result are formed in a register
 # from the operands and in the order of the method's formula on fresh
 # arrays; a sum or product of two operands has the same bits in either
@@ -108,10 +85,10 @@ def stage_times(method: str, t: float, dt: float) -> tuple[float, ...]:
 
 
 def rk2_step(v: np.ndarray, t: float, dt: float, rhs: Callable,
-             registers: list | None = None) -> np.ndarray:
+             registers: list) -> np.ndarray:
     """One step of Heun's method (explicit trapezoid); stages at t and t + dt,
     result v + (dt/2)(k1 + k2)."""
-    rhs, (a, b, c) = _operands(v, rhs, registers)
+    a, b, c = registers
     t1, t2 = stage_times("rk2", t, dt)
     k1 = rhs(t1, v, a)
     u = np.multiply(k1, dt, out=b)  # v + dt k1
@@ -124,11 +101,11 @@ def rk2_step(v: np.ndarray, t: float, dt: float, rhs: Callable,
 
 
 def rk4_step(v: np.ndarray, t: float, dt: float, rhs: Callable,
-             registers: list | None = None) -> np.ndarray:
+             registers: list) -> np.ndarray:
     """One step of the classical fourth-order Runge-Kutta method, result
     v + (dt/6)(k1 + 2 k2 + 2 k3 + k4), the sum formed from the left as
     the stages come."""
-    rhs, (a, b, c) = _operands(v, rhs, registers)
+    a, b, c = registers
     t1, t2, t3, t4 = stage_times("rk4", t, dt)
     h = 0.5 * dt
     k1 = rhs(t1, v, a)
@@ -151,7 +128,7 @@ def rk4_step(v: np.ndarray, t: float, dt: float, rhs: Callable,
 
 
 def ssp32_step(v: np.ndarray, t: float, dt: float, rhs: Callable,
-               registers: list | None = None) -> np.ndarray:
+               registers: list) -> np.ndarray:
     """One step of the optimal three-stage second-order SSP method,
     SSPRK(3,2), in Shu-Osher form with h = dt/2 (Ketcheson, SIAM J. Sci.
     Comput. 30, 2008); stages at t, t + dt/2 and t + dt, result
@@ -161,7 +138,7 @@ def ssp32_step(v: np.ndarray, t: float, dt: float, rhs: Callable,
     radius 2 about z = -2, twice RK2's, which is what an upwind scheme's
     spectrum fills: three stages buy twice RK2's step.
     """
-    rhs, (a, b, _) = _operands(v, rhs, registers)
+    a, b, _ = registers
     t1, t2, t3 = stage_times("ssp32", t, dt)
     h = 0.5 * dt
     u = rhs(t1, v, a)  # v + h k1
@@ -235,11 +212,13 @@ def integrate(
     The run owns the state and three registers of its size, allocated once.
     Each step writes its stages and new state into the registers, and the
     register that holds the new state takes the old state's array in its
-    place.  ``rhs`` is called as ``rhs(t, v, out)`` if it is an
-    :class:`InductionRhs`; any other ``rhs(t, v)`` has its result copied
-    into the register.  An :class:`InductionRhs` is also handed the run's
-    stage times (``InductionRhs.expect_times``), generated as the steps
-    take them, so that it samples its boundary data in blocks of them.
+    place.  The steppers ``rk2_step``, ``rk4_step`` and ``ssp32_step`` are
+    called here only.  An :class:`InductionRhs` writes each stage tendency
+    into its register, ``rhs(t, v, out)``, and is handed the run's stage
+    times (``InductionRhs.expect_times``), generated as the steps take
+    them, so that it samples its boundary data in blocks of them.  Any
+    other ``rhs(t, v)`` is adapted here: its result is copied into the
+    register.
 
     This is the one place that decides a run has blown up.  After every
     step, with ``energy_bound = (weights, limit)``, the new state v has the
@@ -262,16 +241,20 @@ def integrate(
     dt = config.fixed_dt
     stepper = _STEPPERS[config.method]
     weights, limit = energy_bound
-    rhs = _writer(rhs)
     registers = [np.empty(v.shape) for _ in range(3)]
 
     n_steps = max(1, int(np.ceil((config.t_final - t0) / dt - 1e-12)))
+    write = rhs
     if isinstance(rhs, InductionRhs):
         plan = _steps(t0, config.t_final, dt, n_steps)
         rhs.expect_times(_run_stage_times(config.method, plan))
+    else:
+        def write(t: float, v: np.ndarray, out: np.ndarray) -> np.ndarray:
+            np.copyto(out, rhs(t, v))
+            return out
     for k, (t, t_next) in enumerate(_steps(t0, config.t_final, dt, n_steps)):
         last = k == n_steps - 1
-        v_new = stepper(v, t, t_next - t, rhs, registers)
+        v_new = stepper(v, t, t_next - t, write, registers)
         free = next(r for r in registers if r is not v_new)
         energy = np.vdot(v_new, np.multiply(weights, v_new, out=free))
         if not energy <= limit:

@@ -25,7 +25,6 @@ from inductionfd import (
     experiment3,
     integrate,
     make_sat_config,
-    rk4_step,
     sample_velocity,
     sat_sigma,
     scheme_config,
@@ -526,9 +525,16 @@ class TestAssembledRhs:
                 setup.rhs(0.3, v, out=out)
 
     def test_one_rk4_step_samples_at_most_three_times(self):
-        setup, rhs, times = _counting_exp2_rhs()
-        rk4_step(setup.v0.data, 0.3, 0.01, rhs)
-        assert times == [0.3, 0.3 + 0.5 * 0.01, 0.3 + 0.01]
+        """One RK4 step of ``integrate`` samples its three distinct stage
+        times, in one call."""
+        calls = []
+        setup, rhs, times = _counting_exp2_rhs(calls=calls)
+        config = IntegratorConfig(t_final=0.31, method="rk4", fixed_dt=0.01)
+        _, steps = integrate(setup.v0.data, config, rhs, t0=0.3)
+        dt = 0.31 - 0.3
+        assert steps == 1
+        assert times == [0.3, 0.3 + 0.5 * dt, 0.3 + dt]
+        assert calls == [times]
 
     def test_rk4_steps_sample_at_most_twice_per_step_plus_one(self):
         setup, rhs, times = _counting_exp2_rhs()

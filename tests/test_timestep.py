@@ -22,15 +22,11 @@ from inductionfd import (
     integrate,
     make_sat_config,
     p_energy,
-    rk2_step,
-    rk4_step,
     sample_velocity,
     scheme_config,
-    ssp32_step,
     study_config,
     study_spec,
 )
-from inductionfd import timestep
 from inductionfd.timestep import METHODS, stage_times
 
 import dense_oracle
@@ -136,6 +132,8 @@ class TestConfig:
 
 
 class TestSteppers:
+    """Each method, stepped by ``integrate`` on a plain ``rhs(t, v)``."""
+
     def test_heun_exact_on_affine_forcing(self):
         """Heun is the trapezoid rule: exact for dV/dt = a + b t."""
         a, b = 1.25, -0.75
@@ -145,8 +143,9 @@ class TestSteppers:
 
         v = np.array([2.0])
         t, dt = 0.3, 0.17
-        got = rk2_step(v, t, dt, rhs)
+        got, steps = integrate(v, IntegratorConfig(t + dt, dt, "rk2"), rhs, t0=t)
         want = v + a * dt + b * (t * dt + dt**2 / 2.0)
+        assert steps == 1
         np.testing.assert_allclose(got, want, rtol=1e-14)
 
     def test_ssp32_exact_on_affine_forcing(self):
@@ -159,8 +158,9 @@ class TestSteppers:
 
         v = np.array([2.0])
         t, dt = 0.3, 0.17
-        got = ssp32_step(v, t, dt, rhs)
+        got, steps = integrate(v, IntegratorConfig(t + dt, dt, "ssp32"), rhs, t0=t)
         want = v + a * dt + b * (t * dt + dt**2 / 2.0)
+        assert steps == 1
         np.testing.assert_allclose(got, want, rtol=1e-14)
 
     def test_rk4_exact_on_cubic_forcing(self):
@@ -169,15 +169,20 @@ class TestSteppers:
         def rhs(t, v):
             return np.full_like(v, t**3)
 
-        v = np.zeros(2)
-        got = rk4_step(v, 0.0, 1.0, rhs)
+        got, steps = integrate(np.zeros(2), IntegratorConfig(1.0, 1.0, "rk4"), rhs)
+        assert steps == 1
         np.testing.assert_allclose(got, 0.25, rtol=1e-14)
 
-    @pytest.mark.parametrize(
-        "stepper, expected_order", [(rk2_step, 2), (rk4_step, 4), (ssp32_step, 2)]
-    )
-    def test_order_of_accuracy(self, stepper, expected_order):
-        """Step error against exp(M t) shrinks at the advertised order."""
+    # the ids are those of the cases the suite reported when the test
+    # called the steppers themselves
+    @pytest.mark.parametrize("method, expected_order", [
+        pytest.param("rk2", 2, id="rk2_step-2"),
+        pytest.param("rk4", 4, id="rk4_step-4"),
+        pytest.param("ssp32", 2, id="ssp32_step-2"),
+    ])
+    def test_order_of_accuracy(self, method, expected_order):
+        """Error against exp(M t) over a run from t0 = 0.2 shrinks at the
+        advertised order."""
         _, m = _linear_system()
         rng = np.random.default_rng(41)
         v0 = rng.standard_normal(m.shape[0])
@@ -187,10 +192,9 @@ class TestSteppers:
 
         errs = []
         for dt in (0.02, 0.01):
-            n_steps = round(0.4 / dt)
-            v = v0.copy()
-            for k in range(n_steps):
-                v = stepper(v, k * dt, dt, rhs)
+            config = IntegratorConfig(t_final=0.6, fixed_dt=dt, method=method)
+            v, steps = integrate(v0, config, rhs, t0=0.2)
+            assert steps == round(0.4 / dt)
             errs.append(np.linalg.norm(v - _expm_apply(m, 0.4, v0)))
         rate = np.log2(errs[0] / errs[1])
         assert abs(rate - expected_order) < 0.3
@@ -239,7 +243,7 @@ class TestRegisters:
         dt = compute_dt(setup.grid, setup.coeffs, setup.scheme.courant)
         _, steps = integrate(v0, IntegratorConfig(20 * dt, dt, method), setup.rhs)
         assert steps == 20
-        assert len(outs) == 20 * {"rk2": 2, "rk4": 4, "ssp32": 3}[method]
+        assert len(outs) == 20 * len(stage_times(method, 0.0, 1.0))
         assert len(set(outs)) <= 3
         assert v0.__array_interface__["data"][0] not in outs
 
@@ -250,14 +254,18 @@ class TestStageTimes:
 
     @pytest.mark.parametrize("method", METHODS)
     def test_steppers_call_the_rhs_at_stage_times(self, method):
+        """One step of ``integrate`` from 0.3 calls a plain callable at
+        the step's stage times, the last one ``t_final``."""
         seen = []
 
         def rhs(t, v):
             seen.append(t)
             return -v
 
-        timestep._STEPPERS[method](np.ones((2, 3, 3)), 0.3, 0.07, rhs)
-        assert seen == list(stage_times(method, 0.3, 0.07))
+        config = IntegratorConfig(t_final=0.3 + 0.07, fixed_dt=0.07, method=method)
+        _, steps = integrate(np.ones((2, 3, 3)), config, rhs, t0=0.3)
+        assert steps == 1
+        assert seen == list(stage_times(method, 0.3, config.t_final - 0.3))
         assert seen[0] == 0.3 and seen[-1] == 0.3 + 0.07
 
     @pytest.mark.parametrize("method", METHODS)
@@ -417,6 +425,32 @@ class TestIntegrate:
         assert (err.step, err.time) == (3, 1.0)
         np.testing.assert_allclose(err.last_state, [r * r, 0.0], rtol=1e-15)
         assert seen == [0, 1, 2]
+
+    @pytest.mark.parametrize("plain", [True, False], ids=["lambda", "exp2-rhs"])
+    def test_steps_are_generated_as_taken(self, plain):
+        """A run of 10^6 steps allocates under 1 MiB up to its second step,
+        with a plain callable and with the assembled experiment 2 RHS that
+        is handed the run's stage times: neither the steps nor the plan is
+        built whole, which would take about 100 MB."""
+
+        class Stop(Exception):
+            pass
+
+        def hook(k, t, v):
+            if k == 2:
+                raise Stop
+
+        setup = assemble(study_spec(experiment2()), study_config("sbp2"), 10, 10)
+        rhs = (lambda t, v: -v) if plain else setup.rhs
+        config = IntegratorConfig(t_final=1.0, fixed_dt=1e-6, method="rk4")
+        tracemalloc.start()
+        try:
+            with pytest.raises(Stop):
+                integrate(setup.v0.data, config, rhs, hook=hook)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_integration_error_converges_second_order(self):
         """Global Heun error vs exp(M t) shrinks 4x when dt halves."""
